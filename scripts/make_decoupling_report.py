@@ -6,12 +6,10 @@ ratios; this prints the witness numbers and writes the analysis CSV set.
 """
 
 import argparse
-import math
 from pathlib import Path
 
 from specverify.analysis import analyze_trace, write_report
 from specverify.cli import main as cli
-from specverify.logits import logit_ratio
 from specverify.trace import read_trace
 
 FIXTURE_SPEC = Path(__file__).resolve().parent / "decoupling_spec.json"
@@ -33,12 +31,7 @@ def main() -> None:
     report = analyze_trace(trace, args.theta)
     write_report(report, args.outdir)
 
-    zone = []
-    for rec in trace.records:
-        (_, z1), (_, z2) = rec.top_k[0], rec.top_k[1]
-        r = logit_ratio(z1, z2)
-        if r is not None and r > args.theta:
-            zone.append(math.exp((z2 - z1) / rec.temperature))
+    zone = [p.p2 / p.p1 for p in report.scatter if p.ratio is not None and p.ratio > args.theta]
     span = max(zone) / min(zone)
     print(f"records               : {report.record_count}")
     print(f"relaxation zone r>{args.theta:g} : {report.relaxation_fraction:.4f}")

@@ -14,19 +14,17 @@ import sys
 from pathlib import Path
 
 from .analysis import analyze_trace, summarize, write_report
-from .engine import DEFAULT_COST_RATIO, CostModel, DecodeConfig, decode
+from .engine import DEFAULT_COST_RATIO, CostModel, decode
 from .experiment import (
     ExperimentSpec,
-    default_prompt,
-    row_seed,
+    build_point,
     rows_to_csv,
     spec_from_file,
     summarize_rows,
     sweep_rows,
     write_rows,
 )
-from .models import PerturbedDraftModel, SyntheticTargetModel
-from .trace import DEFAULT_TOP_K, TraceRecorder, read_trace, replay_verify, write_trace
+from .trace import TraceRecorder, read_trace, replay_verify, write_trace
 from .verify import DEFAULT_THETA, VerificationPolicy
 
 EXIT_OK = 0
@@ -68,12 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[], help="run a single experiment point")
     _add_experiment_flags(p_run)
     p_run.add_argument("--out", type=Path, help="metrics CSV destination")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_grid)
 
     p_sweep = sub.add_parser("sweep", help="run a theta/K/temperature grid")
     _add_experiment_flags(p_sweep)
     p_sweep.add_argument("--out", type=Path, help="metrics CSV destination")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_grid)
 
     p_rec = sub.add_parser("record", help="decode while writing a logit trace")
     _add_experiment_flags(p_rec)
@@ -128,28 +126,18 @@ def _require_single_point(spec: ExperimentSpec, command: str) -> None:
             )
 
 
-def _emit_rows(rows: list[dict], out: str | None) -> None:
-    if out is not None:
-        write_rows(rows, out)
+def _cmd_grid(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
+    if args.command == "run":
+        _require_single_point(spec, "run")
+    rows = sweep_rows(spec)
+    if spec.out is not None:
+        write_rows(rows, spec.out)
         print(summarize_rows(rows))
-        print(f"wrote {len(rows)} row(s) to {out}")
+        print(f"wrote {len(rows)} row(s) to {spec.out}")
     else:
         sys.stdout.write(rows_to_csv(rows))
         print(summarize_rows(rows), file=sys.stderr)
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
-    _require_single_point(spec, "run")
-    rows = sweep_rows(spec)
-    _emit_rows(rows, spec.out)
-    return EXIT_OK
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
-    rows = sweep_rows(spec)
-    _emit_rows(rows, spec.out)
     return EXIT_OK
 
 
@@ -158,29 +146,10 @@ def _cmd_record(args: argparse.Namespace) -> int:
     _require_single_point(spec, "record")
     if spec.mode != "chain":
         raise ValueError("field 'mode': recording requires chain mode")
-    theta, k, temperature = spec.thetas[0], spec.ks[0], spec.temperatures[0]
-    seed = row_seed(spec.seed, theta, k, temperature, 0)
-    target = SyntheticTargetModel(spec.target)
-    draft = PerturbedDraftModel(target, spec.draft)
-    policy = (
-        VerificationPolicy.strict()
-        if spec.policy == "strict"
-        else VerificationPolicy.margin_aware(theta)
-    )
-    config = DecodeConfig(
-        policy=policy,
-        k=k,
-        max_tokens=spec.max_tokens,
-        temperature=temperature,
-        seed=seed,
-        draft_mode=spec.draft_mode,
-        stop_token=spec.stop_token,
-    )
-    recorder = TraceRecorder(spec.target.vocab_size, temperature, top_k=DEFAULT_TOP_K)
-    prompt = default_prompt(seed, spec.target.vocab_size, spec.target.order)
-    _, metrics = decode(
-        target, draft, config, prompt, cost=CostModel(c_draft=spec.cost_ratio), recorder=recorder
-    )
+    theta, k = spec.thetas[0], spec.ks[0]
+    target, draft, config, cost, prompt = build_point(spec, theta, k, spec.temperatures[0], 0)
+    recorder = TraceRecorder(spec.target.vocab_size, config.temperature)
+    _, metrics = decode(target, draft, config, prompt, cost=cost, recorder=recorder)
     producer = (
         f"specverify synthetic target_seed={spec.target.seed} noise_seed={spec.draft.noise_seed} "
         f"noise_scale={spec.draft.noise_scale:g} policy={spec.policy} theta={theta:g} k={k}"
@@ -193,27 +162,14 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
-    policy = (
-        VerificationPolicy.strict()
-        if args.policy == "strict"
-        else VerificationPolicy.margin_aware(args.theta)
-    )
+    policy = VerificationPolicy.from_name(args.policy, args.theta)
     metrics = replay_verify(trace, policy, args.k, CostModel(c_draft=args.cost_ratio))
     row = {
         "policy": args.policy,
         "theta": args.theta,
         "k": args.k,
         "cost_ratio": args.cost_ratio,
-        "cycles": metrics.cycles,
-        "total_committed": metrics.total_committed,
-        "tau": metrics.tau,
-        "exact_count": metrics.exact_count,
-        "relaxed_count": metrics.relaxed_count,
-        "rejected_count": metrics.rejected_count,
-        "bonus_count": metrics.bonus_count,
-        "target_passes": metrics.target_passes,
-        "draft_steps": metrics.draft_steps,
-        "simulated_speedup": metrics.simulated_speedup,
+        **dataclasses.asdict(metrics),
     }
     if args.out is not None:
         write_rows([row], args.out)

@@ -15,7 +15,8 @@ tau exact (e.g. the K+1 ceiling with a perfectly aligned drafter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,7 +72,7 @@ class DecodeConfig:
             raise ValueError("tree_top_k must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeMetrics:
     cycles: int
     total_committed: int
@@ -116,16 +117,25 @@ def greedy_decode(target: ScoringModel, prompt: Sequence[int], n_tokens: int) ->
     return out
 
 
-def _tally(metrics_counts: dict, result: CycleResult) -> None:
-    for d in result.decisions:
-        if d.label is Decision.EXACT:
-            metrics_counts["exact"] += 1
-        elif d.label is Decision.RELAXED:
-            metrics_counts["relaxed"] += 1
-        else:
-            metrics_counts["rejected"] += 1
-    if result.bonus_token is not None:
-        metrics_counts["bonus"] += 1
+def metrics_from_cycles(
+    results: Sequence[CycleResult], total_committed: int, draft_steps: int, cost: CostModel, k: int
+) -> DecodeMetrics:
+    """Tally decision labels and bonus tokens over a run's cycles into its metrics."""
+    cycles = len(results)
+    speedup = simulated_speedup(total_committed, cycles, cost, k)
+    labels = Counter(d.label for result in results for d in result.decisions)
+    return DecodeMetrics(
+        cycles=cycles,
+        total_committed=total_committed,
+        tau=total_committed / cycles,
+        exact_count=labels[Decision.EXACT],
+        relaxed_count=labels[Decision.RELAXED],
+        rejected_count=labels[Decision.REJECTED],
+        bonus_count=sum(result.bonus_token is not None for result in results),
+        target_passes=cycles,
+        draft_steps=draft_steps,
+        simulated_speedup=speedup,
+    )
 
 
 def decode(
@@ -156,11 +166,13 @@ def decode(
     ctx = list(prompt)
     out: list[int] = []
     gen = np.random.default_rng(config.seed)
-    counts = {"exact": 0, "relaxed": 0, "rejected": 0, "bonus": 0}
-    cycles = 0
-    draft_steps = 0
+    results: list[CycleResult] = []
     position = 0
     done = False
+    if config.mode == "chain":
+        steps_per_cycle = config.k
+    else:
+        steps_per_cycle = sum(config.tree_top_k**d for d in range(1, config.k + 1))
 
     while not done and len(out) < config.max_tokens:
         if config.mode == "chain":
@@ -175,43 +187,20 @@ def decode(
             result = verify_chain(
                 drafted, vectors[: config.k], config.policy, bonus_logits=vectors[config.k]
             )
-            draft_steps += config.k
             position += config.k + 1
         else:
             tree = build_draft_tree(draft, ctx, config.tree_top_k, config.k)
             result = verify_tree(tree, target, ctx, config.policy)
-            draft_steps += sum(
-                config.tree_top_k**d for d in range(1, config.k + 1)
-            )
 
+        results.append(result)
         if cycle_sink is not None:
             cycle_sink.append(result)
         committed = list(result.committed_tokens)
         if config.stop_token is not None and config.stop_token in committed:
             committed = committed[: committed.index(config.stop_token) + 1]
             done = True
-        cycles += 1
-        _tally(counts, result)
         ctx.extend(committed)
         out.extend(committed)
 
-    speedup = simulated_speedup(len(out), cycles, cost, config.k)
-    metrics = DecodeMetrics(
-        cycles=cycles,
-        total_committed=len(out),
-        tau=len(out) / cycles,
-        exact_count=counts["exact"],
-        relaxed_count=counts["relaxed"],
-        rejected_count=counts["rejected"],
-        bonus_count=counts["bonus"],
-        target_passes=cycles,
-        draft_steps=draft_steps,
-        simulated_speedup=speedup,
-    )
-    return out, metrics
-
-
-def with_agreement(metrics: DecodeMetrics, rate: float) -> DecodeMetrics:
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("agreement rate must be in [0, 1]")
-    return replace(metrics, agreement_rate=rate)
+    draft_steps = steps_per_cycle * len(results)
+    return out, metrics_from_cycles(results, len(out), draft_steps, cost, config.k)

@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -24,10 +24,10 @@ from .engine import (
     DEFAULT_COST_RATIO,
     CostModel,
     DecodeConfig,
+    DecodeMetrics,
     agreement_rate,
     decode,
     greedy_decode,
-    with_agreement,
 )
 from .models import (
     PerturbedDraftConfig,
@@ -55,17 +55,7 @@ CSV_COLUMNS = [
     "noise_seed",
     "noise_scale",
     "cost_ratio",
-    "cycles",
-    "total_committed",
-    "tau",
-    "exact_count",
-    "relaxed_count",
-    "rejected_count",
-    "bonus_count",
-    "target_passes",
-    "draft_steps",
-    "simulated_speedup",
-    "agreement_rate",
+    *(f.name for f in fields(DecodeMetrics)),
 ]
 
 
@@ -112,10 +102,8 @@ class ExperimentSpec:
             raise ValueError("field 'max_tokens': must be >= 1")
         if self.cost_ratio < 0:
             raise ValueError("field 'cost_ratio': must be >= 0")
-
-    @property
-    def grid_size(self) -> int:
-        return len(self.thetas) * len(self.ks) * len(self.temperatures) * self.repetitions
+        if self.tree_top_k < 1:
+            raise ValueError("field 'tree_top_k': must be >= 1")
 
 
 def _as_tuple(value, cast) -> tuple:
@@ -204,20 +192,15 @@ def default_prompt(seed: int, vocab_size: int, length: int) -> list[int]:
     return [int(t) for t in rng.integers(0, vocab_size, size=max(length, 1))]
 
 
-def run_point(
+def build_point(
     spec: ExperimentSpec, theta: float, k: int, temperature: float, rep: int
-) -> dict:
-    """Execute one grid point and return its CSV row."""
+) -> tuple[SyntheticTargetModel, PerturbedDraftModel, DecodeConfig, CostModel, list[int]]:
+    """The target, draft, decode config, cost model and prompt of one grid point."""
     seed = row_seed(spec.seed, theta, k, temperature, rep)
     target = SyntheticTargetModel(spec.target)
     draft = PerturbedDraftModel(target, spec.draft)
-    policy = (
-        VerificationPolicy.strict()
-        if spec.policy == "strict"
-        else VerificationPolicy.margin_aware(theta)
-    )
     config = DecodeConfig(
-        policy=policy,
+        policy=VerificationPolicy.from_name(spec.policy, theta),
         k=k,
         max_tokens=spec.max_tokens,
         temperature=temperature,
@@ -227,11 +210,20 @@ def run_point(
         mode=spec.mode,
         tree_top_k=spec.tree_top_k,
     )
-    cost = CostModel(c_target=1.0, c_draft=spec.cost_ratio)
+    cost = CostModel(c_draft=spec.cost_ratio)
     prompt = default_prompt(seed, spec.target.vocab_size, spec.target.order)
+    return target, draft, config, cost, prompt
+
+
+def run_point(
+    spec: ExperimentSpec, theta: float, k: int, temperature: float, rep: int
+) -> dict:
+    """Execute one grid point and return its CSV row."""
+    target, draft, config, cost, prompt = build_point(spec, theta, k, temperature, rep)
     out, metrics = decode(target, draft, config, prompt, cost=cost)
     vanilla = greedy_decode(target, prompt, len(out))
-    metrics = with_agreement(metrics, agreement_rate(out, vanilla))
+    metrics = replace(metrics, agreement_rate=agreement_rate(out, vanilla))
+    target_fields = asdict(spec.target)
     return {
         "policy": spec.policy,
         "theta": theta,
@@ -241,26 +233,12 @@ def run_point(
         "draft_mode": spec.draft_mode,
         "mode": spec.mode,
         "repetition": rep,
-        "row_seed": seed,
-        "target_seed": spec.target.seed,
-        "vocab_size": spec.target.vocab_size,
-        "order": spec.target.order,
-        "logit_offset": spec.target.logit_offset,
-        "logit_spread": spec.target.logit_spread,
-        "noise_seed": spec.draft.noise_seed,
-        "noise_scale": spec.draft.noise_scale,
+        "row_seed": config.seed,
+        "target_seed": target_fields.pop("seed"),
+        **target_fields,
+        **asdict(spec.draft),
         "cost_ratio": spec.cost_ratio,
-        "cycles": metrics.cycles,
-        "total_committed": metrics.total_committed,
-        "tau": metrics.tau,
-        "exact_count": metrics.exact_count,
-        "relaxed_count": metrics.relaxed_count,
-        "rejected_count": metrics.rejected_count,
-        "bonus_count": metrics.bonus_count,
-        "target_passes": metrics.target_passes,
-        "draft_steps": metrics.draft_steps,
-        "simulated_speedup": metrics.simulated_speedup,
-        "agreement_rate": metrics.agreement_rate,
+        **asdict(metrics),
     }
 
 
@@ -284,11 +262,8 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
     return buf.getvalue()
 
 
-def write_rows(rows: Sequence[dict], destination: str | Path | None) -> str:
-    text = rows_to_csv(rows)
-    if destination is not None:
-        Path(destination).write_text(text, encoding="utf-8")
-    return text
+def write_rows(rows: Sequence[dict], destination: str | Path) -> None:
+    Path(destination).write_text(rows_to_csv(rows), encoding="utf-8")
 
 
 def summarize_rows(rows: Sequence[dict]) -> str:

@@ -27,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import CostModel, DecodeMetrics, simulated_speedup
+from .engine import CostModel, DecodeMetrics, metrics_from_cycles
 from .logits import TopTwo, logit_ratio
-from .verify import CycleResult, Decision, VerificationPolicy, verify_top_two_chain
+from .verify import CycleResult, VerificationPolicy, verify_top_two_chain
 
 FORMAT_VERSION = 1
 DEFAULT_TOP_K = 10
@@ -287,29 +287,5 @@ def replay_verify(
 ) -> DecodeMetrics:
     """Re-run verification over a recorded trace using only the top-2 entries."""
     results = replay_cycles(trace, policy, k)
-    committed_total = 0
-    counts = {"exact": 0, "relaxed": 0, "rejected": 0, "bonus": 0}
-    for result in results:
-        committed_total += len(result.committed_tokens)
-        for d in result.decisions:
-            if d.label is Decision.EXACT:
-                counts["exact"] += 1
-            elif d.label is Decision.RELAXED:
-                counts["relaxed"] += 1
-            else:
-                counts["rejected"] += 1
-        if result.bonus_token is not None:
-            counts["bonus"] += 1
-    n = len(results)
-    return DecodeMetrics(
-        cycles=n,
-        total_committed=committed_total,
-        tau=committed_total / n,
-        exact_count=counts["exact"],
-        relaxed_count=counts["relaxed"],
-        rejected_count=counts["rejected"],
-        bonus_count=counts["bonus"],
-        target_passes=n,
-        draft_steps=k * n,
-        simulated_speedup=simulated_speedup(committed_total, n, cost, k),
-    )
+    total_committed = sum(len(result.committed_tokens) for result in results)
+    return metrics_from_cycles(results, total_committed, k * len(results), cost, k)

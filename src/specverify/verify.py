@@ -14,10 +14,9 @@ vector supplied by the caller) is appended, so a cycle commits between 1 and
 K+1 tokens. Margin-aware with theta = 1.0 is decision-identical to strict,
 because the ratio never exceeds 1.
 
-A simplified greedy-path tree verifier is also provided. Its semantics are an
-extension beyond the chain rule: at each depth the exact-match child is
-strictly preferred over a relaxed child, and among duplicate-token children
-the first in canonical child order wins.
+A simplified greedy-path tree verifier is also provided. It applies the same
+decide_position rule to every child at each depth: the first exact child is
+followed, else the first relaxed child, else the first child is rejected.
 """
 
 from __future__ import annotations
@@ -60,6 +59,11 @@ class VerificationPolicy:
     def margin_aware(cls, theta: float = DEFAULT_THETA) -> "VerificationPolicy":
         return cls(kind="margin", theta=theta)
 
+    @classmethod
+    def from_name(cls, kind: str, theta: float) -> "VerificationPolicy":
+        """Policy by kind name; "strict" ignores theta."""
+        return cls(kind) if kind == "strict" else cls(kind, theta)
+
 
 @dataclass(frozen=True)
 class PositionDecision:
@@ -71,17 +75,21 @@ class PositionDecision:
 
 @dataclass(frozen=True)
 class CycleResult:
-    """Outcome of one draft-verify cycle.
-
-    committed_tokens = accepted drafts, plus either the correction token (on
-    rejection) or the bonus token (on full acceptance); always accepted + 1
-    when a bonus source is available.
-    """
+    """Outcome of one draft-verify cycle: its decisions, left to right, ending at
+    the first rejection, and the bonus token appended on full acceptance."""
 
     decisions: tuple[PositionDecision, ...]
-    committed_tokens: tuple[int, ...]
     bonus_token: int | None
-    accepted_count: int
+
+    @property
+    def accepted_count(self) -> int:
+        return sum(d.label is not Decision.REJECTED for d in self.decisions)
+
+    @property
+    def committed_tokens(self) -> tuple[int, ...]:
+        """Accepted drafts, plus the correction (on rejection) or the bonus token."""
+        emitted = tuple(d.emitted_token for d in self.decisions)
+        return emitted if self.bonus_token is None else emitted + (self.bonus_token,)
 
 
 def decide_position(top: TopTwo, draft_token: int, policy: VerificationPolicy) -> PositionDecision:
@@ -115,27 +123,11 @@ def verify_top_two_chain(
     if len(draft) == 0:
         raise ValueError("cannot verify an empty draft")
     decisions: list[PositionDecision] = []
-    committed: list[int] = []
     for tok, top in zip(draft, top_twos):
-        d = decide_position(top, int(tok), policy)
-        decisions.append(d)
-        committed.append(d.emitted_token)
-        if d.label is Decision.REJECTED:
-            return CycleResult(
-                decisions=tuple(decisions),
-                committed_tokens=tuple(committed),
-                bonus_token=None,
-                accepted_count=len(decisions) - 1,
-            )
-    bonus = int(bonus_top1) if bonus_top1 is not None else None
-    if bonus is not None:
-        committed.append(bonus)
-    return CycleResult(
-        decisions=tuple(decisions),
-        committed_tokens=tuple(committed),
-        bonus_token=bonus,
-        accepted_count=len(decisions),
-    )
+        decisions.append(decide_position(top, int(tok), policy))
+        if decisions[-1].label is Decision.REJECTED:
+            return CycleResult(tuple(decisions), None)
+    return CycleResult(tuple(decisions), None if bonus_top1 is None else int(bonus_top1))
 
 
 def verify_chain(
@@ -185,6 +177,10 @@ def _validate_tree(nodes: Sequence[TreeNode], vocab_size: int) -> None:
         stack.extend(node.children)
 
 
+# tree walk preference among children's decisions; min() keeps the first of equals
+_PREFERENCE = {Decision.EXACT: 0, Decision.RELAXED: 1, Decision.REJECTED: 2}
+
+
 def verify_tree(
     roots: Sequence[TreeNode],
     target_scorer,
@@ -193,10 +189,9 @@ def verify_tree(
 ) -> CycleResult:
     """Walk a token tree, greedily following the best qualifying child.
 
-    At each depth the child equal to the target top-1 is followed as an exact
-    match; failing that — under the margin policy — a child equal to the
-    target top-2 with ratio > theta is followed as a relaxed acceptance. When
-    no child qualifies the walk stops and the target top-1 is committed as
+    At each depth every child is judged by decide_position; the first exact
+    child is followed, else the first relaxed child. When no child qualifies
+    the first child is rejected and the target top-1 is committed as
     correction; exhausting a path appends a bonus token. Result shape matches
     verify_chain.
     """
@@ -206,42 +201,15 @@ def verify_tree(
     ctx = list(context)
     children: Sequence[TreeNode] = roots
     decisions: list[PositionDecision] = []
-    committed: list[int] = []
     while children:
         top = top_two(target_scorer.score(ctx))
-        chosen: TreeNode | None = None
-        label = Decision.REJECTED
-        for child in children:
-            if child.token == top.v1:
-                chosen, label = child, Decision.EXACT
-                break
-        if chosen is None and policy.kind == "margin":
-            for child in children:
-                if child.token == top.v2 and adaptive_margin_check(top, policy.theta):
-                    chosen, label = child, Decision.RELAXED
-                    break
-        if chosen is None:
-            # no qualifying child; record the first alternative as the
-            # representative rejected draft
-            decisions.append(
-                PositionDecision(Decision.REJECTED, children[0].token, top.v1, top.ratio)
-            )
-            committed.append(top.v1)
-            return CycleResult(
-                decisions=tuple(decisions),
-                committed_tokens=tuple(committed),
-                bonus_token=None,
-                accepted_count=len(decisions) - 1,
-            )
-        decisions.append(PositionDecision(label, chosen.token, chosen.token, top.ratio))
-        committed.append(chosen.token)
+        decision, chosen = min(
+            ((decide_position(top, child.token, policy), child) for child in children),
+            key=lambda pair: _PREFERENCE[pair[0].label],
+        )
+        decisions.append(decision)
+        if decision.label is Decision.REJECTED:
+            return CycleResult(tuple(decisions), None)
         ctx.append(chosen.token)
         children = chosen.children
-    bonus = top_two(target_scorer.score(ctx)).v1
-    committed.append(bonus)
-    return CycleResult(
-        decisions=tuple(decisions),
-        committed_tokens=tuple(committed),
-        bonus_token=bonus,
-        accepted_count=len(decisions),
-    )
+    return CycleResult(tuple(decisions), top_two(target_scorer.score(ctx)).v1)

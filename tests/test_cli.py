@@ -245,6 +245,15 @@ class TestExitCodes:
         assert main(["run", "--spec", str(bad)]) == 2
         assert "field 'thetas'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "record"])
+    def test_tree_top_k_zero_named(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"tree_top_k": 0}))
+        argv = [command, "--spec", str(bad), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "field 'tree_top_k'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_trace_is_2(self, tmp_path, capsys):
         path = tmp_path / "corrupt.trace"
         path.write_text("specverify-trace v1 vocab=64 producer=\nstep=0 bogus\n")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,12 @@ class TestDecodeBasics:
         assert m.total_committed == m.exact_count + m.relaxed_count + m.rejected_count + m.bonus_count
         assert m.tau == m.total_committed / m.cycles
         assert 1.0 <= m.tau <= 8.0
+
+    def test_metrics_are_frozen(self):
+        target, draft = make_pair()
+        _, m = decode(target, draft, DecodeConfig(policy=STRICT, max_tokens=16), [0, 1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.tau = 0.0
 
     def test_strict_never_relaxes(self):
         target, draft = make_pair()
