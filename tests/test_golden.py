@@ -30,6 +30,12 @@ SPECS = {
     "tree.json": {"mode": "tree", "tree_top_k": 2, "k": 3, "max_tokens": 150,
                   "draft": {"noise_scale": 4.0}},
     "stop.json": {"draft_mode": "sample", "temperature": 1.5, "stop_token": 5, "max_tokens": 400},
+    # every target and draft field off its default, repetitions, a theta x k grid
+    "nested.json": {"target": {"seed": 17, "vocab_size": 48, "order": 3, "logit_offset": 0.25,
+                               "logit_spread": 1.5},
+                    "draft": {"noise_seed": 11, "noise_scale": 0.8},
+                    "theta": [0.85, 0.95], "k": [3, 6], "repetitions": 2, "cost_ratio": 0.1,
+                    "max_tokens": 120, "seed": 21},
 }
 
 RECORD = ["record", "--max-tokens", "300", "--seed", "5", "--out", "rec.trace"]
@@ -48,10 +54,17 @@ CASES = {
     "replay_strict": [RECORD, ["replay", "rec.trace", "--policy", "strict", "--out", "rep.csv"]],
     "replay_margin": [RECORD, ["replay", "rec.trace", "--theta", "0.85"]],
     "analyze": [RECORD, ["analyze", "rec.trace", "--out", "an"]],
+    "nested_run": [["run", "--spec", "nested.json", "--theta", "0.85", "--k", "6", "--out", "n.csv"]],
+    "nested_sweep": [["sweep", "--spec", "nested.json", "--out", "n.csv"]],
+    "nested_record": [["record", "--spec", "nested.json", "--theta", "0.95", "--k", "3",
+                       "--out", "n.trace"]],
 }
 
 GOLDEN = {
     "analyze": "8e9200624c7ff59a36e8930a077359b8a8a426fa9f44c5ccbf3d8943dfb32b2c",
+    "nested_record": "4b37ab9e05560179fa1f11e5665a3f3c0ce3b03b0fbcbeaf42bdda8bf6ad5c6d",
+    "nested_run": "f2578d9aff53f10cbc63e6862a28789143a04a0162b0a749e924aa72bbd1c85e",
+    "nested_sweep": "cab1c211b9961e82b4386c5a1ba60609c561c1349e264a18ebff0aa99cf1e580",
     "record": "beef3798ccd2afd60be6354338ef4524a903a2cd2a52bbd9507bf4ce47b2a3d5",
     "replay_margin": "8ff44ec04e46763435c15e7c8e2dc818d1cd71d2e7e89d24fd2724f02a514849",
     "replay_strict": "5d4eee4506d70190a5e5937f29cd05e4d4a623a4134379ef4a23a4e955162d53",
