@@ -14,11 +14,13 @@ import sys
 from pathlib import Path
 
 from .analysis import analyze_trace, summarize, write_report
-from .engine import DEFAULT_COST_RATIO, CostModel, decode
+from .engine import CostModel, decode
 from .experiment import (
+    GRID_AXES,
     ExperimentSpec,
     build_point,
     rows_to_csv,
+    spec_from_dict,
     spec_from_file,
     summarize_rows,
     sweep_rows,
@@ -65,26 +67,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", parents=[], help="run a single experiment point")
     _add_experiment_flags(p_run)
-    p_run.add_argument("--out", type=Path, help="metrics CSV destination")
+    p_run.add_argument("--out", help="metrics CSV destination")
     p_run.set_defaults(func=_cmd_grid)
 
     p_sweep = sub.add_parser("sweep", help="run a theta/K/temperature grid")
     _add_experiment_flags(p_sweep)
-    p_sweep.add_argument("--out", type=Path, help="metrics CSV destination")
+    p_sweep.add_argument("--out", help="metrics CSV destination")
     p_sweep.set_defaults(func=_cmd_grid)
 
     p_rec = sub.add_parser("record", help="decode while writing a logit trace")
     _add_experiment_flags(p_rec)
-    p_rec.add_argument("--out", type=Path, default=Path("decode.trace"), help="trace destination")
+    p_rec.add_argument("--out", default="decode.trace", help="trace destination")
     p_rec.set_defaults(func=_cmd_record)
 
     p_rep = sub.add_parser("replay", help="re-verify a recorded trace under a policy")
     p_rep.add_argument("trace", type=Path, help="trace file to replay")
-    p_rep.add_argument("--policy", choices=["strict", "margin"], default="margin")
-    p_rep.add_argument("--theta", type=float, default=DEFAULT_THETA)
-    p_rep.add_argument("--k", type=int, default=7)
-    p_rep.add_argument("--cost-ratio", type=float, default=DEFAULT_COST_RATIO)
-    p_rep.add_argument("--out", type=Path, help="metrics CSV destination")
+    p_rep.add_argument("--policy", choices=["strict", "margin"])
+    p_rep.add_argument("--theta", type=float)
+    p_rep.add_argument("--k", type=int)
+    p_rep.add_argument("--cost-ratio", type=float)
+    p_rep.add_argument("--out", help="metrics CSV destination")
     p_rep.set_defaults(func=_cmd_replay)
 
     p_an = sub.add_parser("analyze", help="distributional statistics of a trace")
@@ -97,29 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
-    spec = spec_from_file(args.spec) if args.spec else ExperimentSpec()
-    changes: dict = {}
-    if args.theta is not None:
-        changes["thetas"] = args.theta
-    if args.k is not None:
-        changes["ks"] = args.k
-    if args.temperature is not None:
-        changes["temperatures"] = args.temperature
-    if args.max_tokens is not None:
-        changes["max_tokens"] = args.max_tokens
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.policy is not None:
-        changes["policy"] = args.policy
-    if args.cost_ratio is not None:
-        changes["cost_ratio"] = args.cost_ratio
-    if getattr(args, "out", None) is not None and args.command in ("run", "sweep"):
-        changes["out"] = str(args.out)
-    return dataclasses.replace(spec, **changes) if changes else spec
+    """The --spec file (or the defaults) with every given flag named after a field."""
+    spec = spec_from_file(args.spec) if getattr(args, "spec", None) else None
+    names = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    flags = {key: value for key, value in vars(args).items() if key in names and value is not None}
+    return spec_from_dict(flags, spec)
 
 
 def _require_single_point(spec: ExperimentSpec, command: str) -> None:
-    for name, grid in (("theta", spec.thetas), ("k", spec.ks), ("temperature", spec.temperatures)):
+    for name in GRID_AXES:
+        grid = getattr(spec, name)
         if len(grid) > 1:
             raise ValueError(
                 f"field '{name}': {command} takes a single value, got {len(grid)} (use sweep)"
@@ -144,10 +133,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 def _cmd_record(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     _require_single_point(spec, "record")
-    if spec.mode != "chain":
-        raise ValueError("field 'mode': recording requires chain mode")
-    theta, k = spec.thetas[0], spec.ks[0]
-    target, draft, config, cost, prompt = build_point(spec, theta, k, spec.temperatures[0], 0)
+    theta, k = spec.theta[0], spec.k[0]
+    target, draft, config, cost, prompt = build_point(spec, theta, k, spec.temperature[0], 0)
     recorder = TraceRecorder(spec.target.vocab_size, config.temperature)
     _, metrics = decode(target, draft, config, prompt, cost=cost, recorder=recorder)
     producer = (
@@ -162,18 +149,20 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
-    policy = VerificationPolicy.from_name(args.policy, args.theta)
-    metrics = replay_verify(trace, policy, args.k, CostModel(c_draft=args.cost_ratio))
+    spec = _load_spec(args)
+    theta, k = spec.theta[0], spec.k[0]
+    policy = VerificationPolicy.from_name(spec.policy, theta)
+    metrics = replay_verify(trace, policy, k, CostModel(c_draft=spec.cost_ratio))
     row = {
-        "policy": args.policy,
-        "theta": args.theta,
-        "k": args.k,
-        "cost_ratio": args.cost_ratio,
+        "policy": spec.policy,
+        "theta": theta,
+        "k": k,
+        "cost_ratio": spec.cost_ratio,
         **dataclasses.asdict(metrics),
     }
-    if args.out is not None:
-        write_rows([row], args.out)
-        print(f"tau={metrics.tau:.4f} over {metrics.cycles} cycles; wrote {args.out}")
+    if spec.out is not None:
+        write_rows([row], spec.out)
+        print(f"tau={metrics.tau:.4f} over {metrics.cycles} cycles; wrote {spec.out}")
     else:
         sys.stdout.write(rows_to_csv([row]))
         print(f"tau={metrics.tau:.4f} over {metrics.cycles} cycles", file=sys.stderr)

@@ -39,10 +39,10 @@ class CostModel:
     c_draft: float = DEFAULT_COST_RATIO
 
     def __post_init__(self) -> None:
-        if self.c_target <= 0:
-            raise ValueError("c_target must be > 0")
-        if self.c_draft < 0:
-            raise ValueError("c_draft must be >= 0")
+        if not 0 < self.c_target < np.inf:
+            raise ValueError(f"c_target {self.c_target} must be finite and > 0")
+        if not 0 <= self.c_draft < np.inf:
+            raise ValueError(f"c_draft {self.c_draft} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,20 @@ class DecodeConfig:
     tree_top_k: int = 2
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if not 1 <= self.k < 2**63:
+            raise ValueError(f"field 'k': {self.k} not in [1, 2^63)")
         if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+            raise ValueError(f"field 'max_tokens': {self.max_tokens} must be >= 1")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"field 'temperature': {self.temperature} must be finite and > 0")
+        if not 0 <= self.seed < 2**63:
+            raise ValueError(f"field 'seed': {self.seed} not in [0, 2^63)")
         if self.draft_mode not in ("greedy", "sample"):
-            raise ValueError(f"unknown draft_mode {self.draft_mode!r}")
+            raise ValueError(f"field 'draft_mode': unknown value {self.draft_mode!r}")
         if self.mode not in ("chain", "tree"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"field 'mode': unknown value {self.mode!r}")
         if self.tree_top_k < 1:
-            raise ValueError("tree_top_k must be >= 1")
+            raise ValueError(f"field 'tree_top_k': {self.tree_top_k} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,8 +162,10 @@ def decode(
     for tok in prompt:
         if not 0 <= tok < target.vocab_size:
             raise ValueError(f"prompt token {tok} out of vocabulary range")
+    if config.stop_token is not None and not 0 <= config.stop_token < target.vocab_size:
+        raise ValueError(f"stop_token {config.stop_token} out of vocabulary range")
     if recorder is not None and config.mode != "chain":
-        raise ValueError("trace recording is only supported in chain mode")
+        raise ValueError("field 'mode': trace recording requires chain mode")
 
     ctx = list(prompt)
     out: list[int] = []

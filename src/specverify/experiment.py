@@ -1,10 +1,13 @@
 """Experiment specs, grid execution, and CSV emission.
 
 A spec is a declarative JSON document (grammar in the README) holding model
-configs, the theta/K/temperature grid, the cost model, and repetitions. Rows
-are emitted in lexicographic grid order (theta, then k, then temperature,
-then repetition) and every row's seed is derived from the root seed and the
-grid point alone, so execution order cannot change results.
+configs, the theta/K/temperature grid, the cost model, and repetitions. The
+fields of `ExperimentSpec` are the schema: their names are the spec keys
+(nested under `target` and `draft` for the model configs) and the CLI flags,
+and their types convert the values. Rows are emitted in lexicographic grid
+order (theta, then k, then temperature, then repetition) and every row's seed
+is derived from the root seed and the grid point alone, so execution order
+cannot change results.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import hashlib
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import product
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,43 +38,31 @@ from .models import (
     PerturbedDraftModel,
     SyntheticTargetConfig,
     SyntheticTargetModel,
+    check_seed,
 )
 from .verify import DEFAULT_THETA, VerificationPolicy
 
-CSV_COLUMNS = [
-    "policy",
-    "theta",
-    "k",
-    "temperature",
-    "max_tokens",
-    "draft_mode",
-    "mode",
-    "repetition",
-    "row_seed",
-    "target_seed",
-    "vocab_size",
-    "order",
-    "logit_offset",
-    "logit_spread",
-    "noise_seed",
-    "noise_scale",
-    "cost_ratio",
-    *(f.name for f in fields(DecodeMetrics)),
-]
+# The configuration part of a metrics row, in CSV order (the CSV contract).
+CONFIG_COLUMNS = (
+    "policy", "theta", "k", "temperature", "max_tokens", "draft_mode", "mode", "repetition",
+    "row_seed", "target_seed", "vocab_size", "order", "logit_offset", "logit_spread",
+    "noise_seed", "noise_scale", "cost_ratio",
+)
+CSV_COLUMNS = [*CONFIG_COLUMNS, *(f.name for f in fields(DecodeMetrics))]
+GRID_AXES = ("theta", "k", "temperature")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    target: SyntheticTargetConfig = field(
-        default_factory=lambda: SyntheticTargetConfig(seed=42)
-    )
-    draft: PerturbedDraftConfig = field(
-        default_factory=lambda: PerturbedDraftConfig(noise_seed=7)
-    )
+    """Field names are the spec keys and CLI flags; a grid point is checked by
+    the `DecodeConfig` that `decode_config` builds for it."""
+
+    target: SyntheticTargetConfig = field(default_factory=lambda: SyntheticTargetConfig(seed=42))
+    draft: PerturbedDraftConfig = field(default_factory=lambda: PerturbedDraftConfig(noise_seed=7))
     policy: str = "margin"
-    thetas: tuple[float, ...] = (DEFAULT_THETA,)
-    ks: tuple[int, ...] = (7,)
-    temperatures: tuple[float, ...] = (1.0,)
+    theta: tuple[float, ...] = (DEFAULT_THETA,)
+    k: tuple[int, ...] = (7,)
+    temperature: tuple[float, ...] = (1.0,)
     draft_mode: str = "greedy"
     mode: str = "chain"
     tree_top_k: int = 2
@@ -82,92 +74,77 @@ class ExperimentSpec:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.policy not in ("strict", "margin"):
-            raise ValueError(f"field 'policy': unknown value {self.policy!r}")
-        for name, grid in (("theta", self.thetas), ("k", self.ks), ("temperature", self.temperatures)):
-            if len(grid) == 0:
+        for name in GRID_AXES:
+            if len(getattr(self, name)) == 0:
                 raise ValueError(f"field '{name}': grid must be non-empty")
-        for t in self.thetas:
+        for t in self.theta:
             if not 0.0 < t <= 1.0:
                 raise ValueError(f"field 'theta': {t} not in (0, 1]")
-        for k in self.ks:
-            if k < 1:
-                raise ValueError(f"field 'k': {k} must be >= 1")
-        for t in self.temperatures:
-            if t <= 0:
-                raise ValueError(f"field 'temperature': {t} must be > 0")
         if self.repetitions < 1:
             raise ValueError("field 'repetitions': must be >= 1")
-        if self.max_tokens < 1:
-            raise ValueError("field 'max_tokens': must be >= 1")
-        if self.cost_ratio < 0:
-            raise ValueError("field 'cost_ratio': must be >= 0")
-        if self.tree_top_k < 1:
-            raise ValueError("field 'tree_top_k': must be >= 1")
+        if not 0 <= self.cost_ratio < np.inf:
+            raise ValueError(f"field 'cost_ratio': {self.cost_ratio} must be finite and >= 0")
+        vocab = self.target.vocab_size
+        if self.stop_token is not None and not 0 <= self.stop_token < vocab:
+            raise ValueError(f"field 'stop_token': {self.stop_token} not in [0, {vocab})")
+        check_seed("seed", self.seed)
+        for theta, k, temperature in product(self.theta, self.k, self.temperature):
+            self.decode_config(theta, k, temperature, seed=0)  # row seeds are always in range
+
+    def decode_config(self, theta: float, k: int, temperature: float, seed: int) -> DecodeConfig:
+        """The decode config of one grid point."""
+        return DecodeConfig(
+            policy=VerificationPolicy.from_name(self.policy, theta),
+            k=k,
+            max_tokens=self.max_tokens,
+            temperature=temperature,
+            seed=seed,
+            draft_mode=self.draft_mode,
+            stop_token=self.stop_token,
+            mode=self.mode,
+            tree_top_k=self.tree_top_k,
+        )
 
 
-def _as_tuple(value, cast) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(cast(v) for v in value)
-    return (cast(value),)
+def _convert(hint, value, current, name: str):
+    """`value` as a value of type `hint`, or a ValueError naming the field."""
+    if is_dataclass(hint):
+        return _replace_from_dict(current, value, name + ".")
+    args = get_args(hint)
+    if get_origin(hint) is tuple:  # a grid axis: one value or a list
+        items = value if isinstance(value, (list, tuple)) else [value]
+        return tuple(_convert(args[0], item, None, name) for item in items)
+    if type(None) in args:
+        return None if value is None else _convert(args[0], value, current, name)
+    if hint is float and type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"field '{name}': {value} is not finite") from None
+    if type(value) is hint:
+        return value
+    raise ValueError(f"field '{name}': expected {hint.__name__}, got {value!r}")
 
 
-_SPEC_KEYS = {
-    "target",
-    "draft",
-    "policy",
-    "theta",
-    "k",
-    "temperature",
-    "draft_mode",
-    "mode",
-    "tree_top_k",
-    "max_tokens",
-    "stop_token",
-    "cost_ratio",
-    "repetitions",
-    "seed",
-    "out",
-}
-_TARGET_KEYS = {"seed", "vocab_size", "order", "logit_offset", "logit_spread"}
-_DRAFT_KEYS = {"noise_seed", "noise_scale"}
+def _replace_from_dict(base, doc, prefix: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"field '{prefix[:-1]}': expected an object, got {doc!r}")
+    hints = get_type_hints(type(base))
+    changes = {}
+    for key, value in doc.items():
+        if key not in hints:
+            raise ValueError(f"field '{prefix}{key}': not a recognized spec field")
+        changes[key] = _convert(hints[key], value, getattr(base, key), prefix + key)
+    try:
+        return replace(base, **changes)
+    except ValueError as exc:  # a nested config names its own field: add the prefix
+        raise ValueError(str(exc).replace("field '", "field '" + prefix, 1)) from None
 
 
-def spec_from_dict(doc: dict) -> ExperimentSpec:
-    unknown = set(doc) - _SPEC_KEYS
-    if unknown:
-        raise ValueError(f"field '{sorted(unknown)[0]}': not a recognized spec field")
-    target_doc = dict(doc.get("target", {}))
-    bad = set(target_doc) - _TARGET_KEYS
-    if bad:
-        raise ValueError(f"field 'target.{sorted(bad)[0]}': not recognized")
-    draft_doc = dict(doc.get("draft", {}))
-    bad = set(draft_doc) - _DRAFT_KEYS
-    if bad:
-        raise ValueError(f"field 'draft.{sorted(bad)[0]}': not recognized")
-    target_doc.setdefault("seed", 42)
-    draft_doc.setdefault("noise_seed", 7)
-    kwargs: dict = {
-        "target": SyntheticTargetConfig(**target_doc),
-        "draft": PerturbedDraftConfig(**draft_doc),
-    }
-    if "theta" in doc:
-        kwargs["thetas"] = _as_tuple(doc["theta"], float)
-    if "k" in doc:
-        kwargs["ks"] = _as_tuple(doc["k"], int)
-    if "temperature" in doc:
-        kwargs["temperatures"] = _as_tuple(doc["temperature"], float)
-    for key in ("policy", "draft_mode", "mode", "out"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    for key in ("tree_top_k", "max_tokens", "repetitions", "seed"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
-    if "stop_token" in doc and doc["stop_token"] is not None:
-        kwargs["stop_token"] = int(doc["stop_token"])
-    if "cost_ratio" in doc:
-        kwargs["cost_ratio"] = float(doc["cost_ratio"])
-    return ExperimentSpec(**kwargs)
+def spec_from_dict(doc: dict, base: ExperimentSpec | None = None) -> ExperimentSpec:
+    """`base` (default `ExperimentSpec()`) with the fields named in `doc`, nested
+    for `target` and `draft`, replaced; each value is converted by its field's type."""
+    return _replace_from_dict(base or ExperimentSpec(), doc, "")
 
 
 def spec_from_file(path: str | Path) -> ExperimentSpec:
@@ -199,17 +176,7 @@ def build_point(
     seed = row_seed(spec.seed, theta, k, temperature, rep)
     target = SyntheticTargetModel(spec.target)
     draft = PerturbedDraftModel(target, spec.draft)
-    config = DecodeConfig(
-        policy=VerificationPolicy.from_name(spec.policy, theta),
-        k=k,
-        max_tokens=spec.max_tokens,
-        temperature=temperature,
-        seed=seed,
-        draft_mode=spec.draft_mode,
-        stop_token=spec.stop_token,
-        mode=spec.mode,
-        tree_top_k=spec.tree_top_k,
-    )
+    config = spec.decode_config(theta, k, temperature, seed)
     cost = CostModel(c_draft=spec.cost_ratio)
     prompt = default_prompt(seed, spec.target.vocab_size, spec.target.order)
     return target, draft, config, cost, prompt
@@ -223,34 +190,25 @@ def run_point(
     out, metrics = decode(target, draft, config, prompt, cost=cost)
     vanilla = greedy_decode(target, prompt, len(out))
     metrics = replace(metrics, agreement_rate=agreement_rate(out, vanilla))
-    target_fields = asdict(spec.target)
-    return {
-        "policy": spec.policy,
+    values = {
+        **vars(spec),
+        **vars(spec.target),
+        **vars(spec.draft),
         "theta": theta,
         "k": k,
         "temperature": temperature,
-        "max_tokens": spec.max_tokens,
-        "draft_mode": spec.draft_mode,
-        "mode": spec.mode,
         "repetition": rep,
         "row_seed": config.seed,
-        "target_seed": target_fields.pop("seed"),
-        **target_fields,
-        **asdict(spec.draft),
-        "cost_ratio": spec.cost_ratio,
+        "target_seed": spec.target.seed,
         **asdict(metrics),
     }
+    return {column: values[column] for column in CSV_COLUMNS}
 
 
 def sweep_rows(spec: ExperimentSpec) -> list[dict]:
     """All grid rows in lexicographic (theta, k, temperature, repetition) order."""
-    rows = []
-    for theta in spec.thetas:
-        for k in spec.ks:
-            for temperature in spec.temperatures:
-                for rep in range(spec.repetitions):
-                    rows.append(run_point(spec, theta, k, temperature, rep))
-    return rows
+    grid = product(spec.theta, spec.k, spec.temperature, range(spec.repetitions))
+    return [run_point(spec, *point) for point in grid]
 
 
 def rows_to_csv(rows: Sequence[dict]) -> str:

@@ -46,6 +46,12 @@ class ScoringModel(Protocol):
     def score(self, context: Sequence[int]) -> np.ndarray: ...
 
 
+def check_seed(name: str, seed: int) -> None:
+    """Seeds are packed as signed 64-bit integers (see window_rng)."""
+    if not -(2**63) <= seed < 2**63:
+        raise ValueError(f"field '{name}': {seed} is outside the signed 64-bit range")
+
+
 @dataclass(frozen=True)
 class SyntheticTargetConfig:
     seed: int
@@ -55,12 +61,15 @@ class SyntheticTargetConfig:
     logit_spread: float = DEFAULT_LOGIT_SPREAD
 
     def __post_init__(self) -> None:
+        check_seed("seed", self.seed)
         if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
+            raise ValueError("field 'vocab_size': must be >= 2")
         if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if self.logit_spread <= 0:
-            raise ValueError("logit_spread must be > 0")
+            raise ValueError("field 'order': must be >= 1")
+        if not np.isfinite(self.logit_offset):
+            raise ValueError(f"field 'logit_offset': {self.logit_offset} is not finite")
+        if not 0 < self.logit_spread < np.inf:
+            raise ValueError(f"field 'logit_spread': {self.logit_spread} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -69,8 +78,9 @@ class PerturbedDraftConfig:
     noise_scale: float = DEFAULT_NOISE_SCALE
 
     def __post_init__(self) -> None:
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+        check_seed("noise_seed", self.noise_seed)
+        if not 0 <= self.noise_scale < np.inf:
+            raise ValueError(f"field 'noise_scale': {self.noise_scale} must be finite and >= 0")
 
 
 def window_rng(seed: int, window: Sequence[int], salt: int) -> np.random.Generator:

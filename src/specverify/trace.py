@@ -241,7 +241,8 @@ def iter_cycles(
     trace: TraceFile, k: int
 ) -> list[tuple[list[TraceRecord], TraceRecord | None]]:
     """Group draft-carrying records into cycles of k, attaching the draft-less
-    record that immediately follows a complete group as its bonus source."""
+    record that immediately follows a complete group as its bonus source. A
+    draft-less record that splits a group (a trace recorded with another k) is an error."""
     if k < 1:
         raise ValueError("k must be >= 1")
     cycles: list[tuple[list[TraceRecord], TraceRecord | None]] = []
@@ -250,6 +251,10 @@ def iter_cycles(
     records = trace.records
     while i < len(records):
         rec = records[i]
+        if rec.chosen_draft is None and pending:
+            raise TraceFormatError(
+                f"record {i + 1}: draft-less record after {len(pending)} of {k} drafted records"
+            )
         if rec.chosen_draft is not None:
             pending.append(rec)
             if len(pending) == k:

@@ -47,9 +47,9 @@ class VerificationPolicy:
 
     def __post_init__(self) -> None:
         if self.kind not in ("strict", "margin"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
+            raise ValueError(f"field 'policy': unknown value {self.kind!r}")
         if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must be in (0, 1], got {self.theta}")
+            raise ValueError(f"field 'theta': {self.theta} not in (0, 1]")
 
     @classmethod
     def strict(cls) -> "VerificationPolicy":

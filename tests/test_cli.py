@@ -157,6 +157,12 @@ class TestRecordReplay:
         assert 1.0 <= float(rows[0]["tau"]) <= 8.0
         assert rows[0]["policy"] == "margin"
 
+    def test_replay_with_another_k_is_2(self, tmp_path, capsys):
+        trace_path = tmp_path / "k7.trace"
+        assert main(["record", "--max-tokens", "40", "--out", str(trace_path)]) == 0
+        assert main(["replay", str(trace_path), "--k", "5"]) == 2
+        assert "record 8" in capsys.readouterr().err
+
     def test_recorded_trace_is_valid_and_cycle_shaped(self, tmp_path):
         trace_path = tmp_path / "demo.trace"
         assert main(["record", "--max-tokens", "40", "--k", "5", "--out", str(trace_path)]) == 0
@@ -253,6 +259,43 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "field 'tree_top_k'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, doc, name",
+        [
+            (["run"], {"target": {"seed": "x"}}, "target.seed"),
+            (["run"], {"target": {"vocab_size": 2.5}}, "target.vocab_size"),
+            (["run"], {"target": [1]}, "target"),
+            (["run"], {"draft": {"noise_scale": "nan"}}, "draft.noise_scale"),
+            (["run"], {"k": 7.9}, "k"),
+            (["run"], {"k": True}, "k"),
+            (["run"], {"theta": "abc"}, "theta"),
+            (["run"], {"draft_mode": "bogus"}, "draft_mode"),
+            (["run"], {"mode": "dag"}, "mode"),
+            (["run"], {"stop_token": 99}, "stop_token"),
+            (["run"], {"stop_token": -3}, "stop_token"),
+            (["run"], {"target": {"seed": 2**63}}, "target.seed"),
+            (["run"], {"target": {"logit_offset": float("inf")}}, "target.logit_offset"),
+            (["run", "--seed", str(2**63)], None, "seed"),
+            (["run", "--cost-ratio", "nan"], None, "cost_ratio"),
+            (["run", "--temperature", "nan"], None, "temperature"),
+            (["replay", "TRACE", "--cost-ratio", "nan"], None, "cost_ratio"),
+        ],
+    )
+    def test_bad_field_is_2_and_named(self, argv, doc, name, tmp_path, capsys):
+        if doc is not None:
+            (tmp_path / "bad.json").write_text(json.dumps(doc))
+            argv = [*argv, "--spec", str(tmp_path / "bad.json")]
+        if "TRACE" in argv:
+            trace = tmp_path / "t.trace"
+            assert main(["record", "--max-tokens", "16", "--out", str(trace)]) == 0
+            argv = [str(trace) if a == "TRACE" else a for a in argv]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"field '{name}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_invalid_trace_is_2(self, tmp_path, capsys):
         path = tmp_path / "corrupt.trace"

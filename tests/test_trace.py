@@ -205,6 +205,14 @@ class TestReplay:
         trace = TraceFile(TraceHeader(64, ""), records)
         assert len(iter_cycles(trace, 2)) == 2
 
+    def test_draftless_record_inside_a_cycle_rejected(self):
+        # a K=3 recording replayed with k=2: record 4 is the K=3 continuation
+        records = [make_record(step=i, draft=None if i % 4 == 3 else 1) for i in range(8)]
+        trace = TraceFile(TraceHeader(64, ""), records)
+        assert len(iter_cycles(trace, 3)) == 2
+        with pytest.raises(TraceFormatError, match="record 4"):
+            iter_cycles(trace, 2)
+
     def test_trace_shorter_than_one_cycle(self):
         trace = TraceFile(TraceHeader(64, ""), [make_record(draft=1)])
         with pytest.raises(ValueError, match="cycle"):
