@@ -15,19 +15,31 @@ tau exact (e.g. the K+1 ceiling with a perfectly aligned drafter).
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import ScoringModel, build_draft_tree, draft_chain
+from .models import ScoringModel, build_draft_tree, check_tree_size, draft_chain, pack_tokens
 from .verify import CycleResult, Decision, VerificationPolicy, verify_chain, verify_tree
 
 DEFAULT_COST_RATIO = 0.05
 
-# recorder(position, logits, chosen_draft, context) — see trace.TraceRecorder
-Recorder = Callable[[int, np.ndarray, int | None, Sequence[int]], None]
+# recorder(position, logits, chosen_draft, context_hash) — see trace.TraceRecorder
+Recorder = Callable[[int, np.ndarray, int | None, int], None]
+
+
+def context_hasher(tokens: Sequence[int]) -> hashlib.blake2b:
+    """Running context hash: blake2b (digest size 8) over the packed tokens.
+    update() with more packed tokens extends it; copy() forks it."""
+    return hashlib.blake2b(pack_tokens(tokens), digest_size=8)
+
+
+def hash_value(hasher: hashlib.blake2b) -> int:
+    """A context hasher's digest read as a little-endian uint64."""
+    return int.from_bytes(hasher.digest(), "little")
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,11 @@ class DecodeConfig:
             raise ValueError(f"field 'mode': unknown value {self.mode!r}")
         if self.tree_top_k < 1:
             raise ValueError(f"field 'tree_top_k': {self.tree_top_k} must be >= 1")
+        if self.mode == "tree":
+            try:
+                check_tree_size(self.tree_top_k, self.k)
+            except ValueError as exc:
+                raise ValueError(f"field 'tree_top_k': {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -105,18 +122,24 @@ def agreement_rate(output_a: Sequence[int], output_b: Sequence[int]) -> float:
     return hits / n
 
 
-def greedy_decode(target: ScoringModel, prompt: Sequence[int], n_tokens: int) -> list[int]:
-    """Plain autoregressive argmax decode of the target alone."""
+def check_prompt(prompt: Sequence[int], vocab_size: int) -> None:
+    """Prompts are checked once, whole: scoring sees only the last tokens."""
     if len(prompt) == 0:
         raise ValueError("prompt must be non-empty")
+    for tok in prompt:
+        if not 0 <= tok < vocab_size:
+            raise ValueError(f"prompt token {tok} out of vocabulary range")
+
+
+def greedy_decode(target: ScoringModel, prompt: Sequence[int], n_tokens: int) -> list[int]:
+    """Plain autoregressive argmax decode of the target alone."""
+    check_prompt(prompt, target.vocab_size)
     if n_tokens < 1:
         raise ValueError("n_tokens must be >= 1")
     ctx = list(prompt)
-    out: list[int] = []
     for _ in range(n_tokens):
-        out.append(int(np.argmax(target.score(ctx))))
-        ctx.append(out[-1])
-    return out
+        ctx.append(int(np.argmax(target.score(ctx[-target.order :]))))
+    return ctx[len(prompt) :]
 
 
 def metrics_from_cycles(
@@ -154,21 +177,23 @@ def decode(
     The returned sequence is the generated continuation (the prompt is not
     included). Fully deterministic given the models' seeds and config.seed.
     cycle_sink, when given, collects every cycle's CycleResult.
+
+    The models read only their last `order` tokens, so drafting and scoring
+    see only the last max(target.order, draft.order) context tokens, and the
+    recorder gets a running hash of the context rather than the context:
+    the cost per token does not grow with the context.
     """
-    if len(prompt) == 0:
-        raise ValueError("prompt must be non-empty")
+    check_prompt(prompt, target.vocab_size)
     if target.vocab_size != draft.vocab_size:
         raise ValueError("target and draft must share a vocabulary")
-    for tok in prompt:
-        if not 0 <= tok < target.vocab_size:
-            raise ValueError(f"prompt token {tok} out of vocabulary range")
     if config.stop_token is not None and not 0 <= config.stop_token < target.vocab_size:
         raise ValueError(f"stop_token {config.stop_token} out of vocabulary range")
     if recorder is not None and config.mode != "chain":
         raise ValueError("field 'mode': trace recording requires chain mode")
 
+    window = max(target.order, draft.order)
     ctx = list(prompt)
-    out: list[int] = []
+    hasher = context_hasher(ctx) if recorder is not None else None
     gen = np.random.default_rng(config.seed)
     results: list[CycleResult] = []
     position = 0
@@ -178,23 +203,29 @@ def decode(
     else:
         steps_per_cycle = sum(config.tree_top_k**d for d in range(1, config.k + 1))
 
-    while not done and len(out) < config.max_tokens:
+    while not done and len(ctx) - len(prompt) < config.max_tokens:
+        tail = ctx[-window:]
         if config.mode == "chain":
             drafted = draft_chain(
-                draft, ctx, config.k, config.temperature, config.draft_mode, gen
+                draft, tail, config.k, config.temperature, config.draft_mode, gen
             )
-            vectors = [target.score(ctx + drafted[:i]) for i in range(config.k + 1)]
+            n, seq = len(tail), tail + drafted
+            vectors = [
+                target.score(seq[max(0, n + i - window) : n + i]) for i in range(config.k + 1)
+            ]
             if recorder is not None:
-                for i in range(config.k + 1):
+                prefix = hasher.copy()
+                for i, vector in enumerate(vectors):
                     chosen = drafted[i] if i < config.k else None
-                    recorder(position + i, vectors[i], chosen, ctx + drafted[:i])
+                    recorder(position + i, vector, chosen, hash_value(prefix))
+                    prefix.update(pack_tokens(drafted[i : i + 1]))
             result = verify_chain(
                 drafted, vectors[: config.k], config.policy, bonus_logits=vectors[config.k]
             )
             position += config.k + 1
         else:
-            tree = build_draft_tree(draft, ctx, config.tree_top_k, config.k)
-            result = verify_tree(tree, target, ctx, config.policy)
+            tree = build_draft_tree(draft, tail, config.tree_top_k, config.k)
+            result = verify_tree(tree, target, tail, config.policy)
 
         results.append(result)
         if cycle_sink is not None:
@@ -204,7 +235,9 @@ def decode(
             committed = committed[: committed.index(config.stop_token) + 1]
             done = True
         ctx.extend(committed)
-        out.extend(committed)
+        if hasher is not None:
+            hasher.update(pack_tokens(committed))
 
+    out = ctx[len(prompt) :]
     draft_steps = steps_per_cycle * len(results)
     return out, metrics_from_cycles(results, len(out), draft_steps, cost, config.k)

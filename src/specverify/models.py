@@ -29,6 +29,7 @@ DEFAULT_ORDER = 2
 DEFAULT_LOGIT_OFFSET = 0.5
 DEFAULT_LOGIT_SPREAD = 2.0
 DEFAULT_NOISE_SCALE = 0.5
+MAX_TREE_LEAVES = 200_000
 
 _TARGET_SALT = 0x54474554  # "TGET"
 _DRAFT_SALT = 0x44524654  # "DRFT"
@@ -83,14 +84,33 @@ class PerturbedDraftConfig:
             raise ValueError(f"field 'noise_scale': {self.noise_scale} must be finite and >= 0")
 
 
+def pack_tokens(tokens: Sequence[int]) -> bytes:
+    """Integers packed as little-endian int64: the one byte encoding behind
+    window seeds and trace context hashes."""
+    return struct.pack(f"<{len(tokens)}q", *tokens)
+
+
+def check_tree_size(branching: int, depth: int) -> None:
+    """Reject a branching^depth leaf tree over MAX_TREE_LEAVES without computing
+    the power, which is unbounded for large depth. With branching >= 2 the
+    loop ends within log2(MAX_TREE_LEAVES) steps."""
+    if branching == 1:
+        return
+    leaves = 1
+    for _ in range(depth):
+        leaves *= branching
+        if leaves > MAX_TREE_LEAVES:
+            raise ValueError(
+                f"a tree of {branching}^{depth} leaves exceeds the {MAX_TREE_LEAVES}-leaf limit"
+            )
+
+
 def window_rng(seed: int, window: Sequence[int], salt: int) -> np.random.Generator:
     """PCG64 stream keyed by (seed, salt, token window) via blake2b.
 
     Stable across platforms and processes; never uses Python's salted hash().
     """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(struct.pack("<qq", seed, salt))
-    h.update(struct.pack(f"<{len(window)}q", *window))
+    h = hashlib.blake2b(pack_tokens((seed, salt, *window)), digest_size=16)
     return np.random.Generator(np.random.PCG64(int.from_bytes(h.digest(), "little")))
 
 
@@ -224,8 +244,7 @@ def build_draft_tree(
         raise ValueError("branching must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if branching**depth > 200_000:
-        raise ValueError(f"tree of {branching}^{depth} nodes is too large to draft")
+    check_tree_size(branching, depth)
 
     def expand(ctx: list[int], level: int) -> tuple[TreeNode, ...]:
         if level == 0:

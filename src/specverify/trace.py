@@ -19,15 +19,13 @@ decisions exactly, including the bonus token.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .engine import CostModel, DecodeMetrics, metrics_from_cycles
+from .engine import CostModel, DecodeMetrics, context_hasher, hash_value, metrics_from_cycles
 from .logits import TopTwo, logit_ratio
 from .verify import CycleResult, VerificationPolicy, verify_top_two_chain
 
@@ -191,10 +189,9 @@ def read_trace(source: str | Path) -> TraceFile:
 
 
 def hash_context(context: Sequence[int]) -> int:
-    """Stable 64-bit hash of a token sequence."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack(f"<{len(context)}q", *context))
-    return int.from_bytes(h.digest(), "little")
+    """Stable 64-bit hash of a token sequence: the one-shot form of the running
+    hash `decode` keeps (engine.context_hasher), i.e. the `ctx=` trace field."""
+    return hash_value(context_hasher(context))
 
 
 class TraceRecorder:
@@ -213,7 +210,7 @@ class TraceRecorder:
         position: int,
         logits: np.ndarray,
         chosen_draft: int | None,
-        context: Sequence[int],
+        context_hash: int,
     ) -> None:
         z = np.asarray(logits, dtype=np.float64)
         order = np.lexsort((np.arange(z.size), -z))[: self.top_k]
@@ -224,7 +221,7 @@ class TraceRecorder:
                 top_k=entries,
                 temperature=self.temperature,
                 chosen_draft=chosen_draft,
-                context_hash=hash_context(context),
+                context_hash=context_hash,
             )
         )
 
@@ -241,12 +238,16 @@ def iter_cycles(
     trace: TraceFile, k: int
 ) -> list[tuple[list[TraceRecord], TraceRecord | None]]:
     """Group draft-carrying records into cycles of k, attaching the draft-less
-    record that immediately follows a complete group as its bonus source. A
-    draft-less record that splits a group (a trace recorded with another k) is an error."""
+    record that immediately follows a complete group as its bonus source.
+
+    A trace recorded with another k is an error: either a draft-less record
+    splits a group, or complete groups are followed by a draft-less record in
+    one place and by a drafted record in another (k divides the recorded K)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     cycles: list[tuple[list[TraceRecord], TraceRecord | None]] = []
     pending: list[TraceRecord] = []
+    bonus_follows: bool | None = None  # what follows the complete groups so far
     i = 0
     records = trace.records
     while i < len(records):
@@ -259,9 +260,17 @@ def iter_cycles(
             pending.append(rec)
             if len(pending) == k:
                 bonus = None
-                if i + 1 < len(records) and records[i + 1].chosen_draft is None:
-                    bonus = records[i + 1]
-                    i += 1
+                if i + 1 < len(records):
+                    follows = records[i + 1].chosen_draft is None
+                    if bonus_follows is not None and follows != bonus_follows:
+                        raise TraceFormatError(
+                            f"record {i + 2}: {'draft-less' if follows else 'drafted'} record "
+                            f"after a complete group of {k}, unlike the groups before it"
+                        )
+                    bonus_follows = follows
+                    if follows:
+                        bonus = records[i + 1]
+                        i += 1
                 cycles.append((pending, bonus))
                 pending = []
         i += 1

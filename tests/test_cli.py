@@ -163,6 +163,15 @@ class TestRecordReplay:
         assert main(["replay", str(trace_path), "--k", "5"]) == 2
         assert "record 8" in capsys.readouterr().err
 
+    def test_replay_with_a_k_dividing_the_recorded_k_is_2(self, tmp_path, capsys):
+        trace_path = tmp_path / "k7.trace"
+        argv = ["record", "--max-tokens", "300", "--seed", "5", "--out", str(trace_path)]
+        assert main(argv) == 0
+        assert main(["replay", str(trace_path), "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "record 8: draft-less" in err
+        assert "Traceback" not in err
+
     def test_recorded_trace_is_valid_and_cycle_shaped(self, tmp_path):
         trace_path = tmp_path / "demo.trace"
         assert main(["record", "--max-tokens", "40", "--k", "5", "--out", str(trace_path)]) == 0
@@ -272,6 +281,8 @@ class TestExitCodes:
             (["run"], {"theta": "abc"}, "theta"),
             (["run"], {"draft_mode": "bogus"}, "draft_mode"),
             (["run"], {"mode": "dag"}, "mode"),
+            (["run"], {"mode": "tree", "tree_top_k": 1000}, "tree_top_k"),
+            (["run"], {"mode": "tree", "tree_top_k": 2, "k": 40}, "tree_top_k"),
             (["run"], {"stop_token": 99}, "stop_token"),
             (["run"], {"stop_token": -3}, "stop_token"),
             (["run"], {"target": {"seed": 2**63}}, "target.seed"),

@@ -49,6 +49,15 @@ class TestDecodeBasics:
         with pytest.raises(ValueError):
             DecodeConfig(policy=STRICT, mode="dag")
 
+    def test_tree_size_checked_up_front_in_tree_mode_only(self):
+        with pytest.raises(ValueError, match="field 'tree_top_k'.*1000\\^7"):
+            DecodeConfig(policy=STRICT, mode="tree", tree_top_k=1000)
+        with pytest.raises(ValueError, match="field 'tree_top_k'"):
+            DecodeConfig(policy=STRICT, mode="tree", tree_top_k=2, k=2**63 - 1)
+        DecodeConfig(policy=STRICT, mode="tree", tree_top_k=1, k=2**63 - 1)
+        DecodeConfig(policy=STRICT, mode="tree", tree_top_k=2, k=17)
+        DecodeConfig(policy=STRICT, tree_top_k=1000)
+
     def test_cycle_accounting(self):
         target, draft = make_pair()
         cfg = DecodeConfig(policy=MARGIN_09, k=7, max_tokens=200)
@@ -238,6 +247,75 @@ class TestTreeModeDecode:
         out_chain, m_chain = decode(target, draft, chain_cfg, [4, 4])
         assert out_tree == out_chain
         assert m_tree.tau == m_chain.tau
+
+
+class CountingModel:
+    """A ScoringModel that records the length of every context it scores."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lengths = []
+
+    @property
+    def vocab_size(self):
+        return self.inner.vocab_size
+
+    @property
+    def order(self):
+        return self.inner.order
+
+    def score(self, context):
+        self.lengths.append(len(context))
+        return self.inner.score(context)
+
+
+LONG_PROMPT = [i % 64 for i in range(600)]
+
+
+class TestLinearity:
+    """decode and greedy_decode must not hand the models a context that grows
+    with the decode: every scoring sees at most order + k tokens."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"draft_mode": "greedy"},
+            {"draft_mode": "sample", "temperature": 0.7},
+            {"mode": "tree", "tree_top_k": 2, "k": 3},
+        ],
+    )
+    def test_decode_scores_a_bounded_window(self, fields):
+        inner_target, inner_draft = make_pair()
+        target, draft = CountingModel(inner_target), CountingModel(inner_draft)
+        cfg = DecodeConfig(policy=MARGIN_09, **{"k": 5, "max_tokens": 300, **fields})
+        out, _ = decode(target, draft, cfg, LONG_PROMPT)
+        assert out == decode(inner_target, inner_draft, cfg, LONG_PROMPT)[0]
+        assert target.lengths and draft.lengths
+        assert max(target.lengths + draft.lengths) <= target.order + cfg.k
+
+    def test_stop_token_exit_scores_a_bounded_window(self):
+        inner_target, inner_draft = make_pair()
+        probe, _ = decode(inner_target, inner_draft, DecodeConfig(policy=STRICT, max_tokens=300), LONG_PROMPT)
+        cfg = DecodeConfig(policy=STRICT, max_tokens=300, stop_token=probe[150])
+        target, draft = CountingModel(inner_target), CountingModel(inner_draft)
+        out, _ = decode(target, draft, cfg, LONG_PROMPT)
+        assert out[-1] == cfg.stop_token and len(out) <= 151
+        assert max(target.lengths + draft.lengths) <= target.order + cfg.k
+
+    def test_greedy_decode_scores_the_order_window(self, target):
+        counting = CountingModel(target)
+        assert greedy_decode(counting, LONG_PROMPT, 300) == greedy_decode(target, LONG_PROMPT, 300)
+        assert len(counting.lengths) == 300
+        assert max(counting.lengths) <= target.order
+
+    def test_token_outside_the_window_is_still_rejected(self, target, draft):
+        # order 2: scoring never sees the 99, so only the entry check can catch it
+        with pytest.raises(ValueError, match="token 99"):
+            decode(target, draft, DecodeConfig(policy=STRICT), [99, 1, 2])
+        with pytest.raises(ValueError, match="token 99"):
+            greedy_decode(target, [99, 1, 2], 5)
+        with pytest.raises(ValueError, match="64"):
+            target.score([64])
 
 
 class TestGreedyDecode:

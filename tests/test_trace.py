@@ -12,6 +12,7 @@ from specverify.trace import (
     TraceHeader,
     TraceRecord,
     TraceRecorder,
+    hash_context,
     iter_cycles,
     read_trace,
     replay_cycles,
@@ -176,7 +177,7 @@ class TestValidation:
 class TestRecorder:
     def test_records_sorted_topk(self):
         rec = TraceRecorder(vocab_size=8, temperature=1.0, top_k=4)
-        rec(0, np.array([0.0, 5.0, 5.0, 1.0, -2.0, 3.0, 0.5, 0.25]), 2, [1, 2])
+        rec(0, np.array([0.0, 5.0, 5.0, 1.0, -2.0, 3.0, 0.5, 0.25]), 2, hash_context([1, 2]))
         (entries,) = [r.top_k for r in rec.records]
         assert [t for t, _ in entries] == [1, 2, 5, 3]  # tie 5.0/5.0 broken by id
         assert rec.records[0].chosen_draft == 2
@@ -184,7 +185,7 @@ class TestRecorder:
 
     def test_topk_capped_at_vocab(self):
         rec = TraceRecorder(vocab_size=3, temperature=1.0, top_k=10)
-        rec(0, np.array([1.0, 2.0, 3.0]), None, [0])
+        rec(0, np.array([1.0, 2.0, 3.0]), None, hash_context([0]))
         assert len(rec.records[0].top_k) == 3
 
 
@@ -211,6 +212,24 @@ class TestReplay:
         trace = TraceFile(TraceHeader(64, ""), records)
         assert len(iter_cycles(trace, 3)) == 2
         with pytest.raises(TraceFormatError, match="record 4"):
+            iter_cycles(trace, 2)
+
+    def test_group_size_dividing_the_recorded_k_rejected(self):
+        # a K=4 recording replayed with k=2: the first group runs straight on
+        # into drafted records, the second into the draft-less one
+        records = [make_record(step=i, draft=None if i % 5 == 4 else 1) for i in range(10)]
+        trace = TraceFile(TraceHeader(64, ""), records)
+        assert len(iter_cycles(trace, 4)) == 2
+        with pytest.raises(TraceFormatError, match="record 5: draft-less"):
+            iter_cycles(trace, 2)
+        with pytest.raises(TraceFormatError, match="record 5: draft-less"):
+            iter_cycles(trace, 1)
+
+    def test_drafted_record_after_a_bonus_shaped_group_rejected(self):
+        drafts = [1, 1, None, 1, 1, 1, 1, None]
+        records = [make_record(step=i, draft=d) for i, d in enumerate(drafts)]
+        trace = TraceFile(TraceHeader(64, ""), records)
+        with pytest.raises(TraceFormatError, match="record 6: drafted"):
             iter_cycles(trace, 2)
 
     def test_trace_shorter_than_one_cycle(self):
@@ -268,3 +287,47 @@ class TestReplay:
         accepted = lambda m: m.exact_count + m.relaxed_count
         assert accepted(loose) >= accepted(tight) >= accepted(strict)
         assert strict.relaxed_count == 0
+
+
+class TestStreamedContextHash:
+    """decode hashes the context incrementally; every record's ctx= must equal
+    the one-shot hash of prompt + committed-so-far + drafted-prefix."""
+
+    @staticmethod
+    def check_hashes(config, prompt):
+        target, draft = make_pair()
+        recorder = TraceRecorder(64, temperature=config.temperature)
+        cycles = []
+        out, _ = decode(target, draft, config, prompt, recorder=recorder, cycle_sink=cycles)
+        k = config.k
+        assert len(recorder.records) == (k + 1) * len(cycles)
+        done = 0
+        for c, cycle in enumerate(cycles):
+            group = recorder.records[c * (k + 1) : (c + 1) * (k + 1)]
+            drafted = [r.chosen_draft for r in group[:k]]
+            for i, rec in enumerate(group):
+                assert rec.context_hash == hash_context(list(prompt) + out[:done] + drafted[:i])
+            done += len(cycle.committed_tokens)
+        assert done >= len(out)
+        return out
+
+    def test_greedy_drafts(self):
+        config = DecodeConfig(policy=MARGIN_09, k=7, max_tokens=2000)
+        assert len(self.check_hashes(config, [1, 2])) >= 2000
+
+    def test_sampled_drafts(self):
+        config = DecodeConfig(
+            policy=MARGIN_09, k=5, max_tokens=2000, draft_mode="sample", temperature=0.7, seed=11
+        )
+        assert len(self.check_hashes(config, [9, 8, 7])) >= 2000
+
+    def test_stop_token_exit(self):
+        target, draft = make_pair()
+        probe, _ = decode(target, draft, DecodeConfig(policy=STRICT, max_tokens=2000), [3, 4])
+        first_seen = {}
+        for i, tok in enumerate(probe):
+            first_seen.setdefault(tok, i)
+        stop = max(first_seen, key=first_seen.get)
+        config = DecodeConfig(policy=STRICT, max_tokens=2000, stop_token=stop)
+        out = self.check_hashes(config, [3, 4])
+        assert out[-1] == stop and len(out) == first_seen[stop] + 1
