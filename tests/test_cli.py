@@ -281,8 +281,6 @@ class TestExitCodes:
             (["run"], {"theta": "abc"}, "theta"),
             (["run"], {"draft_mode": "bogus"}, "draft_mode"),
             (["run"], {"mode": "dag"}, "mode"),
-            (["run"], {"mode": "tree", "tree_top_k": 1000}, "tree_top_k"),
-            (["run"], {"mode": "tree", "tree_top_k": 2, "k": 40}, "tree_top_k"),
             (["run"], {"stop_token": 99}, "stop_token"),
             (["run"], {"stop_token": -3}, "stop_token"),
             (["run"], {"target": {"seed": 2**63}}, "target.seed"),
@@ -291,6 +289,8 @@ class TestExitCodes:
             (["run", "--cost-ratio", "nan"], None, "cost_ratio"),
             (["run", "--temperature", "nan"], None, "temperature"),
             (["replay", "TRACE", "--cost-ratio", "nan"], None, "cost_ratio"),
+            (["run"], {"mode": "tree", "tree_top_k": 1000}, "tree_top_k"),
+            (["run"], {"mode": "tree", "tree_top_k": 2, "k": 40}, "tree_top_k"),
         ],
     )
     def test_bad_field_is_2_and_named(self, argv, doc, name, tmp_path, capsys):
