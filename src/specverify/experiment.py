@@ -75,8 +75,12 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         for name in GRID_AXES:
-            if len(getattr(self, name)) == 0:
+            grid = getattr(self, name)
+            if len(grid) == 0:
                 raise ValueError(f"field '{name}': grid must be non-empty")
+            for i, value in enumerate(grid):
+                if value in grid[:i]:  # a row is keyed by its grid coordinates
+                    raise ValueError(f"field '{name}': duplicate value {value}")
         for t in self.theta:
             if not 0.0 < t <= 1.0:
                 raise ValueError(f"field 'theta': {t} not in (0, 1]")

@@ -10,6 +10,11 @@ stays positive, around 10.
 The draft model adds seeded Gaussian noise of scale sigma to the target's
 logits; sigma = 0 reproduces the target exactly and larger sigma degrades
 alignment monotonically. Everything is a pure function of declared seeds.
+
+Since a score depends only on the last m tokens, each model instance memoises
+its logit vectors by window, up to MEMO_FLOATS floats; windows beyond that are
+computed without being stored. Returned vectors are read-only, so a caller's
+in-place edit raises instead of changing later scores.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ DEFAULT_LOGIT_OFFSET = 0.5
 DEFAULT_LOGIT_SPREAD = 2.0
 DEFAULT_NOISE_SCALE = 0.5
 MAX_TREE_LEAVES = 200_000
+# Logit floats each model instance memoises (8 bytes each, about 1 MiB):
+# 2048 windows at the default vocabulary of 64.
+MEMO_FLOATS = 2**17
 
 _TARGET_SALT = 0x54474554  # "TGET"
 _DRAFT_SALT = 0x44524654  # "DRFT"
@@ -93,8 +101,13 @@ def pack_tokens(tokens: Sequence[int]) -> bytes:
 def check_tree_size(branching: int, depth: int) -> None:
     """Reject a branching^depth leaf tree over MAX_TREE_LEAVES without computing
     the power, which is unbounded for large depth. With branching >= 2 the
-    loop ends within log2(MAX_TREE_LEAVES) steps."""
+    loop ends within log2(MAX_TREE_LEAVES) steps. A branching-1 tree is a
+    chain with one leaf, so its depth (its node count) is what is bounded."""
     if branching == 1:
+        if depth > MAX_TREE_LEAVES:
+            raise ValueError(
+                f"a branching-1 tree of depth {depth} exceeds the {MAX_TREE_LEAVES}-node limit"
+            )
         return
     leaves = 1
     for _ in range(depth):
@@ -120,11 +133,20 @@ def _check_context(context: Sequence[int], vocab_size: int) -> None:
             raise ValueError(f"context token {tok} out of vocabulary range [0, {vocab_size})")
 
 
+def _remember(memo: dict, window: tuple[int, ...], z: np.ndarray) -> np.ndarray:
+    """z, made read-only, and stored under its window while the memo has room."""
+    z.flags.writeable = False
+    if (len(memo) + 1) * z.size <= MEMO_FLOATS:
+        memo[window] = z
+    return z
+
+
 class SyntheticTargetModel:
     """Order-m seeded table model emitting Gumbel-shaped logits."""
 
     def __init__(self, config: SyntheticTargetConfig):
         self.config = config
+        self._memo: dict[tuple[int, ...], np.ndarray] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -138,10 +160,13 @@ class SyntheticTargetModel:
         cfg = self.config
         _check_context(context, cfg.vocab_size)
         window = tuple(context[-cfg.order :])
-        rng = window_rng(cfg.seed, window, _TARGET_SALT)
-        u = np.maximum(rng.random(cfg.vocab_size), 1e-12)
-        gumbel = -np.log(-np.log(u))
-        return cfg.logit_offset + cfg.logit_spread * gumbel
+        z = self._memo.get(window)
+        if z is None:
+            rng = window_rng(cfg.seed, window, _TARGET_SALT)
+            u = np.maximum(rng.random(cfg.vocab_size), 1e-12)
+            gumbel = -np.log(-np.log(u))
+            z = _remember(self._memo, window, cfg.logit_offset + cfg.logit_spread * gumbel)
+        return z
 
 
 class PerturbedDraftModel:
@@ -150,6 +175,7 @@ class PerturbedDraftModel:
     def __init__(self, target: SyntheticTargetModel, config: PerturbedDraftConfig):
         self.target = target
         self.config = config
+        self._memo: dict[tuple[int, ...], np.ndarray] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -160,12 +186,16 @@ class PerturbedDraftModel:
         return self.target.order
 
     def score(self, context: Sequence[int]) -> np.ndarray:
-        z = self.target.score(context)
-        if self.config.noise_scale == 0:
-            return z
+        _check_context(context, self.vocab_size)
         window = tuple(context[-self.order :])
-        rng = window_rng(self.config.noise_seed, window, _DRAFT_SALT)
-        return z + self.config.noise_scale * rng.standard_normal(self.vocab_size)
+        z = self._memo.get(window)
+        if z is None:
+            z = self.target.score(context)
+            if self.config.noise_scale != 0:
+                rng = window_rng(self.config.noise_seed, window, _DRAFT_SALT)
+                z = z + self.config.noise_scale * rng.standard_normal(self.vocab_size)
+            z = _remember(self._memo, window, z)
+        return z
 
 
 class AdversarialDraftModel:
@@ -238,7 +268,10 @@ def build_draft_tree(
     """Draft a full branching^depth token tree of the model's top candidates.
 
     Children at each node are the top-`branching` tokens (logit-descending,
-    ties by smallest id), so the first-child path is the greedy chain.
+    ties by smallest id), so the first-child path is the greedy chain. The
+    tree is built level by level without recursion, and below the root each
+    scored context is only the model's last `order` tokens, so a deep
+    branching-1 tree costs time linear in its depth.
     """
     if branching < 1:
         raise ValueError("branching must be >= 1")
@@ -246,15 +279,20 @@ def build_draft_tree(
         raise ValueError("depth must be >= 1")
     check_tree_size(branching, depth)
 
-    def expand(ctx: list[int], level: int) -> tuple[TreeNode, ...]:
-        if level == 0:
-            return ()
+    def candidates(ctx: list[int]) -> list[int]:
         z = model.score(ctx)
-        order = np.lexsort((np.arange(z.size), -z))
-        nodes = []
-        for tok in order[:branching]:
-            tok = int(tok)
-            nodes.append(TreeNode(tok, expand(ctx + [tok], level - 1)))
-        return tuple(nodes)
+        return [int(tok) for tok in np.lexsort((np.arange(z.size), -z))[:branching]]
 
-    return list(expand(list(context), depth))
+    # each level's (parent context, token) pairs, breadth-first in parent order
+    root = list(context)
+    levels = [[(root, tok) for tok in candidates(root)]]
+    while len(levels) < depth:
+        contexts = [(ctx + [tok])[-model.order :] for ctx, tok in levels[-1]]
+        levels.append([(ctx, tok) for ctx in contexts for tok in candidates(ctx)])
+    nodes = [TreeNode(tok) for _, tok in levels.pop()]
+    for level in reversed(levels):
+        nodes = [
+            TreeNode(tok, tuple(nodes[i * branching : (i + 1) * branching]))
+            for i, (_, tok) in enumerate(level)
+        ]
+    return nodes

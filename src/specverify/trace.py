@@ -63,8 +63,8 @@ class TraceFile:
 def validate_record(rec: TraceRecord, vocab_size: int, where: str = "record") -> None:
     if rec.step < 0:
         raise TraceFormatError(f"{where}: step must be non-negative")
-    if rec.temperature <= 0:
-        raise TraceFormatError(f"{where}: temperature must be > 0")
+    if not 0 < rec.temperature < np.inf:
+        raise TraceFormatError(f"{where}: temperature {rec.temperature} must be finite and > 0")
     if len(rec.top_k) < 2:
         raise TraceFormatError(f"{where}: top-k list needs at least 2 entries")
     seen = set()

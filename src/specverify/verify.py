@@ -193,7 +193,8 @@ def verify_tree(
     child is followed, else the first relaxed child. When no child qualifies
     the first child is rejected and the target top-1 is committed as
     correction; exhausting a path appends a bonus token. Result shape matches
-    verify_chain.
+    verify_chain. The whole context is scored once; after that only the
+    scorer's last `order` tokens are kept, so the walk is linear in depth.
     """
     if not roots:
         raise ValueError("cannot verify an empty tree")
@@ -210,6 +211,6 @@ def verify_tree(
         decisions.append(decision)
         if decision.label is Decision.REJECTED:
             return CycleResult(tuple(decisions), None)
-        ctx.append(chosen.token)
+        ctx = (ctx + [chosen.token])[-target_scorer.order :]
         children = chosen.children
     return CycleResult(tuple(decisions), top_two(target_scorer.score(ctx)).v1)

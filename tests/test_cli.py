@@ -308,6 +308,53 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (["sweep", "--theta", "0.9,0.9"], None, "field 'theta': duplicate value 0.9"),
+            (["sweep", "--k", "5,7,5"], None, "field 'k': duplicate value 5"),
+            (["sweep"], {"temperature": [1, 0.5, 1.0]}, "field 'temperature': duplicate value 1.0"),
+        ],
+        ids=["theta", "k", "temperature"],
+    )
+    def test_duplicate_grid_value_is_2(self, argv, doc, message, tmp_path, capsys):
+        if doc is not None:
+            (tmp_path / "dup.json").write_text(json.dumps(doc))
+            argv = [*argv, "--spec", str(tmp_path / "dup.json")]
+        assert main([*argv, "--max-tokens", "16", "--out", str(tmp_path / "out.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_deep_branching_one_tree_runs(self, tmp_path, capsys):
+        spec = tmp_path / "deep.json"
+        spec.write_text(json.dumps({"mode": "tree", "tree_top_k": 1, "k": 5000, "max_tokens": 20}))
+        assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]) == 0
+        row = read_rows(tmp_path / "out.csv")[0]
+        assert int(row["cycles"]) >= 1
+        assert int(row["draft_steps"]) == 5000 * int(row["cycles"])
+        capsys.readouterr()
+
+    def test_too_deep_branching_one_tree_is_2(self, tmp_path, capsys):
+        spec = tmp_path / "deep.json"
+        spec.write_text(json.dumps({"mode": "tree", "tree_top_k": 1, "k": 200_001}))
+        assert main(["run", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "field 'tree_top_k'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "replay"])
+    @pytest.mark.parametrize("temp", ["nan", "inf"])
+    def test_non_finite_trace_temperature_is_2(self, command, temp, tmp_path, capsys):
+        path = tmp_path / "t.trace"
+        assert main(["record", "--max-tokens", "16", "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace("temp=1 ", f"temp={temp} ")
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "record 3 (line 4): temperature" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_trace_is_2(self, tmp_path, capsys):
         path = tmp_path / "corrupt.trace"
         path.write_text("specverify-trace v1 vocab=64 producer=\nstep=0 bogus\n")

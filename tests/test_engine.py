@@ -54,7 +54,9 @@ class TestDecodeBasics:
             DecodeConfig(policy=STRICT, mode="tree", tree_top_k=1000)
         with pytest.raises(ValueError, match="field 'tree_top_k'"):
             DecodeConfig(policy=STRICT, mode="tree", tree_top_k=2, k=2**63 - 1)
-        DecodeConfig(policy=STRICT, mode="tree", tree_top_k=1, k=2**63 - 1)
+        with pytest.raises(ValueError, match="field 'tree_top_k'"):
+            DecodeConfig(policy=STRICT, mode="tree", tree_top_k=1, k=2**63 - 1)
+        DecodeConfig(policy=STRICT, mode="tree", tree_top_k=1, k=200_000)
         DecodeConfig(policy=STRICT, mode="tree", tree_top_k=2, k=17)
         DecodeConfig(policy=STRICT, tree_top_k=1000)
 

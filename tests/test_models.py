@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from specverify import models
+from specverify.engine import DecodeConfig, decode, greedy_decode
 from specverify.logits import top_two
 from specverify.models import (
+    MAX_TREE_LEAVES,
     AdversarialDraftModel,
     PerturbedDraftConfig,
     PerturbedDraftModel,
     SyntheticTargetConfig,
     SyntheticTargetModel,
     build_draft_tree,
+    check_tree_size,
     draft_chain,
 )
-from specverify.verify import TreeNode
+from specverify.verify import TreeNode, VerificationPolicy
 
 from conftest import make_pair, random_contexts
 
@@ -170,3 +174,116 @@ class TestDraftTree:
     def test_size_guard(self, draft):
         with pytest.raises(ValueError):
             build_draft_tree(draft, [1], branching=10, depth=7)
+
+    def test_deep_branching_one_tree_is_the_greedy_chain(self, draft):
+        # deeper than the recursion limit: the tree is built without recursion
+        roots = build_draft_tree(draft, [4, 5], branching=1, depth=3000)
+        path = []
+        while roots:
+            assert len(roots) == 1
+            path.append(roots[0].token)
+            roots = roots[0].children
+        assert path == draft_chain(draft, [4, 5], 3000)
+
+    def test_branching_one_depth_is_bounded(self):
+        check_tree_size(1, MAX_TREE_LEAVES)
+        with pytest.raises(ValueError, match="node limit"):
+            check_tree_size(1, MAX_TREE_LEAVES + 1)
+        with pytest.raises(ValueError, match="field 'tree_top_k'"):
+            DecodeConfig(VerificationPolicy.strict(), k=2**62, mode="tree", tree_top_k=1)
+
+
+class FreshModel:
+    """Scores every context with a newly built model, so no memo is ever hit."""
+
+    def __init__(self, build):
+        self.build = build
+        probe = build()
+        self.vocab_size, self.order = probe.vocab_size, probe.order
+
+    def score(self, context):
+        return self.build().score(context)
+
+
+def fresh_pair(target_cfg, draft_cfg):
+    def build_draft():
+        return PerturbedDraftModel(SyntheticTargetModel(target_cfg), draft_cfg)
+
+    return FreshModel(lambda: SyntheticTargetModel(target_cfg)), FreshModel(build_draft)
+
+
+MEMO_CONFIGS = [
+    (SyntheticTargetConfig(seed=42), PerturbedDraftConfig(noise_seed=7, noise_scale=0.5)),
+    (SyntheticTargetConfig(seed=42), PerturbedDraftConfig(noise_seed=7, noise_scale=0.0)),
+    (SyntheticTargetConfig(seed=3, vocab_size=5, order=3), PerturbedDraftConfig(noise_seed=1)),
+]
+
+
+class TestLogitMemo:
+    @pytest.mark.parametrize("target_cfg, draft_cfg", MEMO_CONFIGS)
+    def test_scores_match_fresh_models(self, target_cfg, draft_cfg):
+        target = SyntheticTargetModel(target_cfg)
+        draft = PerturbedDraftModel(target, draft_cfg)
+        fresh_target, fresh_draft = fresh_pair(target_cfg, draft_cfg)
+        rng = np.random.default_rng(11)
+        vocab = target_cfg.vocab_size
+        for _ in range(400):
+            ctx = [int(t) for t in rng.integers(0, vocab, rng.integers(1, 8))]
+            # the same window behind a different earlier history
+            other = [int(rng.integers(0, vocab)), *ctx]
+            for c in (ctx, other, ctx):
+                assert np.array_equal(target.score(c), fresh_target.score(c))
+                assert np.array_equal(draft.score(c), fresh_draft.score(c))
+
+    @pytest.mark.parametrize("target_cfg, draft_cfg", MEMO_CONFIGS)
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(draft_mode="greedy"),
+            dict(draft_mode="sample", temperature=0.7, seed=5),
+            dict(mode="tree", tree_top_k=2, k=4),
+        ],
+    )
+    def test_decode_matches_fresh_models(self, target_cfg, draft_cfg, settings):
+        target = SyntheticTargetModel(target_cfg)
+        draft = PerturbedDraftModel(target, draft_cfg)
+        fresh_target, fresh_draft = fresh_pair(target_cfg, draft_cfg)
+        config = DecodeConfig(VerificationPolicy.margin_aware(0.9), max_tokens=150, **settings)
+        prompt = [1, 2, 0]
+        assert decode(target, draft, config, prompt) == decode(
+            fresh_target, fresh_draft, config, prompt
+        )
+        assert greedy_decode(target, prompt, 150) == greedy_decode(fresh_target, prompt, 150)
+        assert build_draft_tree(draft, prompt, 2, 5) == build_draft_tree(fresh_draft, prompt, 2, 5)
+
+    @pytest.mark.parametrize("noise_scale", [0.5, 0.0])
+    def test_memoised_window_still_checks_the_whole_context(self, noise_scale):
+        target, draft = make_pair(noise_scale=noise_scale)
+        for model in (target, draft):
+            model.score([1, 2])
+            assert (1, 2) in model._memo
+            for bad in ([99, 1, 2], [-1, 1, 2]):
+                with pytest.raises(ValueError, match="out of vocabulary"):
+                    model.score(bad)
+
+    @pytest.mark.parametrize("noise_scale", [0.5, 0.0])
+    def test_returned_logits_are_read_only(self, noise_scale):
+        target, draft = make_pair(noise_scale=noise_scale)
+        for model in (target, draft):
+            for _ in range(2):  # the computed vector, then the memoised one
+                z = model.score([4, 5])
+                with pytest.raises(ValueError, match="read-only"):
+                    z[0] = 0.0
+        assert np.array_equal(target.score([4, 5]), make_pair()[0].score([4, 5]))
+
+    def test_memo_stops_growing_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(models, "MEMO_FLOATS", 5 * 64)
+        target, draft = make_pair()
+        fresh_target, fresh_draft = fresh_pair(target.config, draft.config)
+        for ctx in random_contexts(5, 40):
+            for model, fresh in ((target, fresh_target), (draft, fresh_draft)):
+                z = model.score(ctx)
+                assert not z.flags.writeable
+                assert np.array_equal(z, fresh.score(ctx))
+        assert len(target._memo) == 5
+        assert len(draft._memo) == 5

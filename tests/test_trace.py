@@ -169,6 +169,17 @@ class TestValidation:
         with pytest.raises(TraceFormatError, match="temperature"):
             write_trace(TraceFile(TraceHeader(64, ""), [make_record(temp=0.0)]), "/dev/null")
 
+    @pytest.mark.parametrize("temp", ["nan", "inf", "-inf", "0"])
+    def test_temperature_must_be_finite_and_positive(self, temp, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text(
+            "specverify-trace v1 vocab=64 producer=\n"
+            "step=0 ctx=- temp=1 draft=- topk=3:2.5,1:1.25\n"
+            f"step=1 ctx=- temp={temp} draft=- topk=3:2.5,1:1.25\n"
+        )
+        with pytest.raises(TraceFormatError, match=r"record 2 \(line 3\): temperature"):
+            read_trace(path)
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             read_trace(tmp_path / "does-not-exist.trace")
