@@ -274,6 +274,7 @@ class TestLogitMemo:
                 z = model.score([4, 5])
                 with pytest.raises(ValueError, match="read-only"):
                     z[0] = 0.0
+        # the refused writes left the memoised vector as a fresh model scores it
         assert np.array_equal(target.score([4, 5]), make_pair()[0].score([4, 5]))
 
     def test_memo_stops_growing_at_its_cap(self, monkeypatch):
