@@ -157,9 +157,12 @@ class SyntheticTargetModel:
         return self.config.order
 
     def score(self, context: Sequence[int]) -> np.ndarray:
+        _check_context(context, self.config.vocab_size)
+        return self._window_logits(tuple(context[-self.config.order :]))
+
+    def _window_logits(self, window: tuple[int, ...]) -> np.ndarray:
+        """Logits of a window of at most `order` tokens the caller has checked."""
         cfg = self.config
-        _check_context(context, cfg.vocab_size)
-        window = tuple(context[-cfg.order :])
         z = self._memo.get(window)
         if z is None:
             rng = window_rng(cfg.seed, window, _TARGET_SALT)
@@ -190,7 +193,7 @@ class PerturbedDraftModel:
         window = tuple(context[-self.order :])
         z = self._memo.get(window)
         if z is None:
-            z = self.target.score(context)
+            z = self.target._window_logits(window)
             if self.config.noise_scale != 0:
                 rng = window_rng(self.config.noise_seed, window, _DRAFT_SALT)
                 z = z + self.config.noise_scale * rng.standard_normal(self.vocab_size)
@@ -278,10 +281,12 @@ def build_draft_tree(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     check_tree_size(branching, depth)
+    # a node has one child per token, so there are at most vocab_size of them
+    width = min(branching, model.vocab_size)
 
     def candidates(ctx: list[int]) -> list[int]:
         z = model.score(ctx)
-        return [int(tok) for tok in np.lexsort((np.arange(z.size), -z))[:branching]]
+        return [int(tok) for tok in np.lexsort((np.arange(z.size), -z))[:width]]
 
     # each level's (parent context, token) pairs, breadth-first in parent order
     root = list(context)
@@ -292,7 +297,7 @@ def build_draft_tree(
     nodes = [TreeNode(tok) for _, tok in levels.pop()]
     for level in reversed(levels):
         nodes = [
-            TreeNode(tok, tuple(nodes[i * branching : (i + 1) * branching]))
+            TreeNode(tok, tuple(nodes[i * width : (i + 1) * width]))
             for i, (_, tok) in enumerate(level)
         ]
     return nodes

@@ -185,6 +185,27 @@ class TestDraftTree:
             roots = roots[0].children
         assert path == draft_chain(draft, [4, 5], 3000)
 
+    @pytest.mark.parametrize("branching, depth", [(2, 3), (5, 2), (6, 2), (9, 3)])
+    def test_matches_recursive_tree(self, branching, depth):
+        # a branching above vocab_size gives every node vocab_size children
+        target = SyntheticTargetModel(SyntheticTargetConfig(seed=3, vocab_size=5, order=3))
+        draft = PerturbedDraftModel(target, PerturbedDraftConfig(noise_seed=1))
+
+        def expand(ctx, level):
+            if level == 0:
+                return ()
+            z = draft.score(ctx)
+            order = np.lexsort((np.arange(z.size), -z))[:branching]
+            return tuple(TreeNode(int(t), expand(ctx + [int(t)], level - 1)) for t in order)
+
+        roots = build_draft_tree(draft, [1, 2, 0], branching, depth)
+        assert roots == list(expand([1, 2, 0], depth))
+        level, width = roots, min(branching, 5)
+        for d in range(depth):
+            assert len(level) == width ** (d + 1)
+            assert all(len(n.children) == (width if d < depth - 1 else 0) for n in level)
+            level = [c for n in level for c in n.children]
+
     def test_branching_one_depth_is_bounded(self):
         check_tree_size(1, MAX_TREE_LEAVES)
         with pytest.raises(ValueError, match="node limit"):
