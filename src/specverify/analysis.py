@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .logits import logit_ratio, softmax
+from .logits import softmax
 from .trace import TraceFile
 
 DEFAULT_BINS = 40
@@ -62,43 +62,38 @@ def analyze_trace(trace: TraceFile, theta: float, bins: int = DEFAULT_BINS) -> A
     """Build the report for one trace at relaxation threshold theta."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    if not trace.records:
+    columns = trace.columns
+    n = len(columns)
+    if not n:
         raise ValueError("cannot analyze an empty trace")
-    top1s: list[float] = []
-    ratios: list[float] = []
-    prob_ratios: list[float] = []
-    scatter: list[ScatterPoint] = []
-    in_zone = 0
-    for rec in trace.records:
-        (_, z1), (_, z2) = rec.top_k[0], rec.top_k[1]
-        r = logit_ratio(z1, z2)
-        top1s.append(z1)
-        if r is not None:
-            ratios.append(r)
-            if r > theta:
-                in_zone += 1
-        prob_ratios.append(math.exp((z2 - z1) / rec.temperature))
-        probs = softmax([z for _, z in rec.top_k], rec.temperature)
-        scatter.append(
-            ScatterPoint(
-                step=rec.step,
-                z1=z1,
-                z2=z2,
-                p1=float(probs[0]),
-                p2=float(probs[1]),
-                ratio=r,
-            )
+    _, _, z1, z2 = columns.top_two()
+    defined = z1 > 0
+    with np.errstate(over="ignore"):  # overflow gives +-inf, as with Python floats
+        ratios = z2[defined] / z1[defined]
+        # math.exp, not np.exp: the two differ in the last bit on some inputs
+        prob_ratios = list(map(math.exp, ((z2 - z1) / columns.temp).tolist()))
+    p1, p2 = np.empty(n), np.empty(n)
+    for rows, _, logits in columns.by_width():
+        # rows of one width, so each row's softmax is the per-record one
+        probs = softmax(logits, columns.temp[rows, None])
+        p1[rows], p2[rows] = probs[:, 0], probs[:, 1]
+    ratio = iter(ratios.tolist())
+    scatter = tuple(
+        ScatterPoint(step=step, z1=a, z2=b, p1=q1, p2=q2, ratio=next(ratio) if d else None)
+        for step, a, b, q1, q2, d in zip(
+            columns.step.tolist(), z1.tolist(), z2.tolist(), p1.tolist(), p2.tolist(),
+            defined.tolist(),
         )
-    n = len(trace.records)
+    )
     return AnalysisReport(
         theta=theta,
         record_count=n,
-        ratio_defined_count=len(ratios),
-        relaxation_fraction=in_zone / n,
-        top1_hist=_histogram(top1s, bins),
-        ratio_hist=_histogram(ratios, bins) if ratios else Histogram((), ()),
+        ratio_defined_count=ratios.size,
+        relaxation_fraction=int(np.count_nonzero(ratios > theta)) / n,
+        top1_hist=_histogram(z1, bins),
+        ratio_hist=_histogram(ratios, bins) if ratios.size else Histogram((), ()),
         prob_ratio_hist=_histogram(prob_ratios, bins),
-        scatter=tuple(scatter),
+        scatter=scatter,
     )
 
 

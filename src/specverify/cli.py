@@ -141,8 +141,9 @@ def _cmd_record(args: argparse.Namespace) -> int:
         f"specverify synthetic target_seed={spec.target.seed} noise_seed={spec.draft.noise_seed} "
         f"noise_scale={spec.draft.noise_scale:g} policy={spec.policy} theta={theta:g} k={k}"
     )
-    write_trace(recorder.to_trace(producer), args.out)
-    print(f"recorded {len(recorder.records)} records over {metrics.cycles} cycles to {args.out}")
+    trace = recorder.to_trace(producer)
+    write_trace(trace, args.out)
+    print(f"recorded {len(trace.columns)} records over {metrics.cycles} cycles to {args.out}")
     print(f"tau={metrics.tau:.4f} committed={metrics.total_committed}")
     return EXIT_OK
 

@@ -201,7 +201,9 @@ def decode(
     if config.mode == "chain":
         steps_per_cycle = config.k
     else:
-        steps_per_cycle = sum(config.tree_top_k**d for d in range(1, config.k + 1))
+        # build_draft_tree gives a node at most vocab_size children
+        width = min(config.tree_top_k, target.vocab_size)
+        steps_per_cycle = sum(width**d for d in range(1, config.k + 1))
 
     while not done and len(ctx) - len(prompt) < config.max_tokens:
         tail = ctx[-window:]

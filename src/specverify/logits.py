@@ -31,9 +31,10 @@ class TopTwo:
     ratio: float | None
 
 
-def _as_logit_array(values) -> np.ndarray:
+def _as_logit_array(values, rows: bool = False) -> np.ndarray:
+    """A finite 1-D logit vector, or with `rows` also a 2-D block of them."""
     z = np.asarray(values, dtype=np.float64)
-    if z.ndim != 1:
+    if z.ndim != 1 and not (rows and z.ndim == 2):
         raise ValueError(f"logit vector must be 1-D, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("logit vector contains non-finite entries")
@@ -79,16 +80,23 @@ def adaptive_margin_check(top: TopTwo, theta: float) -> bool:
     return top.ratio > theta
 
 
-def softmax(values, temperature: float = 1.0) -> np.ndarray:
+def softmax(values, temperature: float | np.ndarray = 1.0) -> np.ndarray:
     """Temperature-scaled softmax with max-subtraction for stability.
 
     Output sums to 1 within float error and preserves the input argmax for
-    every positive temperature.
+    every positive temperature. A 2-D block is taken row by row, with
+    `temperature` a scalar or a column of per-row temperatures; each row
+    equals the softmax of that row alone, bit for bit.
     """
-    if temperature <= 0.0:
+    # a float skips numpy here: sampled drafting calls softmax once per token
+    if isinstance(temperature, float):
+        positive = temperature > 0.0
+    else:
+        positive = np.all(np.asarray(temperature) > 0.0)
+    if not positive:
         raise ValueError(f"temperature must be > 0, got {temperature}")
-    z = _as_logit_array(values)
+    z = _as_logit_array(values, rows=True)
     if z.size == 0:
         raise ValueError("softmax of an empty vector is undefined")
-    e = np.exp((z - z.max()) / temperature)
-    return e / e.sum()
+    e = np.exp((z - z.max(axis=-1, keepdims=True)) / temperature)
+    return e / e.sum(axis=-1, keepdims=True)

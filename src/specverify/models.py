@@ -241,7 +241,8 @@ def draft_chain(
 
     mode "greedy" takes the argmax at each step; mode "sample" draws from
     softmax(logits, temperature) using the given seed or generator, fully
-    reproducibly.
+    reproducibly. The whole context is scored once; after that only the
+    model's last `order` tokens are kept, so a chain costs time linear in k.
     """
     if k < 1:
         raise ValueError(f"draft length k must be >= 1, got {k}")
@@ -259,6 +260,7 @@ def draft_chain(
             tok = int(gen.choice(p.size, p=p))
         out.append(tok)
         ctx.append(tok)
+        del ctx[: -model.order]
     return out
 
 

@@ -355,6 +355,31 @@ class TestExitCodes:
         assert "record 3 (line 4): temperature" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # integer fields are ASCII decimal digits, and ctx is an unsigned 64-bit value
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("step", "1_0", "step '1_0'"),
+            ("step", "+3", "step '+3'"),
+            ("ctx", "-5", "ctx '-5'"),
+            ("ctx", "18446744073709551616", "ctx 18446744073709551616"),
+            ("draft", "\u0663", "draft '\u0663'"),
+            ("topk", "+3:2.5,1:1.25", "token '+3'"),
+        ],
+    )
+    def test_non_decimal_trace_integer_is_2(self, field, value, named, tmp_path, capsys):
+        fields = {"step": "1", "ctx": "-", "temp": "1", "draft": "-", "topk": "3:2.5,1:1.25"}
+        fields[field] = value
+        path = tmp_path / "t.trace"
+        path.write_text(
+            "specverify-trace v1 vocab=64 producer=\n"
+            "step=0 ctx=- temp=1 draft=- topk=3:2.5,1:1.25\n"
+            + " ".join(f"{key}={text}" for key, text in fields.items()) + "\n",
+            encoding="utf-8",
+        )
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"record 2 (line 3): {named}" in capsys.readouterr().err
+
     def test_invalid_trace_is_2(self, tmp_path, capsys):
         path = tmp_path / "corrupt.trace"
         path.write_text("specverify-trace v1 vocab=64 producer=\nstep=0 bogus\n")

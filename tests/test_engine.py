@@ -13,7 +13,12 @@ from specverify.engine import (
     greedy_decode,
     simulated_speedup,
 )
-from specverify.models import AdversarialDraftModel, PerturbedDraftConfig, PerturbedDraftModel
+from specverify.models import (
+    AdversarialDraftModel,
+    PerturbedDraftConfig,
+    PerturbedDraftModel,
+    draft_chain,
+)
 from specverify.verify import VerificationPolicy
 
 from conftest import make_pair
@@ -241,6 +246,17 @@ class TestTreeModeDecode:
         with pytest.raises(ValueError):
             decode(target, draft, cfg, [1, 2], recorder=lambda *a: None)
 
+    def test_draft_steps_count_at_most_vocab_size_children(self):
+        # a node drafts at most vocab_size (64) children, whatever tree_top_k asks for
+        target, draft = make_pair()
+        runs = [
+            decode(target, draft, DecodeConfig(policy=MARGIN_09, k=2, max_tokens=20, mode="tree",
+                                               tree_top_k=width), [1, 2])
+            for width in (64, 65)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[1][1].draft_steps == runs[1][1].cycles * (64 + 64**2)
+
     def test_branching_one_equals_chain_mode(self):
         target, draft = make_pair()
         tree_cfg = DecodeConfig(policy=MARGIN_09, k=5, max_tokens=40, mode="tree", tree_top_k=1)
@@ -294,6 +310,16 @@ class TestLinearity:
         assert out == decode(inner_target, inner_draft, cfg, LONG_PROMPT)[0]
         assert target.lengths and draft.lengths
         assert max(target.lengths + draft.lengths) <= target.order + cfg.k
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_draft_chain_scores_the_order_window_after_the_first_call(self, mode):
+        _, inner = make_pair()
+        counting = CountingModel(inner)
+        drafted = draft_chain(counting, LONG_PROMPT, 400, 0.7, mode, 5)
+        assert drafted == draft_chain(inner, LONG_PROMPT, 400, 0.7, mode, 5)
+        assert len(counting.lengths) == 400
+        assert counting.lengths[0] == len(LONG_PROMPT)
+        assert max(counting.lengths[1:]) <= inner.order
 
     def test_stop_token_exit_scores_a_bounded_window(self):
         inner_target, inner_draft = make_pair()

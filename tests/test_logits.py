@@ -184,6 +184,22 @@ class TestSoftmax:
             softmax([1.0, 2.0], 0.0)
         with pytest.raises(ValueError):
             softmax([1.0, 2.0], -1.0)
+        with pytest.raises(ValueError):
+            softmax([1.0, 2.0], float("nan"))
+        with pytest.raises(ValueError):
+            softmax([1.0, 2.0], 0)
+
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_row_block_equals_each_row_bit_for_bit(self, width):
+        rng = np.random.default_rng(width)
+        block, temps = rng.normal(0.0, 5.0, (40, width)), rng.uniform(0.1, 2.0, (40, 1))
+        rows = softmax(block, temps)
+        for i in range(40):
+            assert rows[i].tobytes() == softmax(block[i], temps[i, 0]).tobytes()
+        with pytest.raises(ValueError):
+            softmax(block, np.zeros((40, 1)))
+        with pytest.raises(ValueError):
+            softmax(np.full((2, width), np.nan), 1.0)
 
     @given(grid_logits, st.floats(min_value=0.05, max_value=10.0))
     @settings(max_examples=200)

@@ -1,0 +1,205 @@
+"""The per-record trace reader and trace analysis that the columnar ones in
+`specverify.trace` and `specverify.analysis` replaced, kept as the reference
+for differential tests. The reader parses and validates one record at a time
+with `int`/`float` on split fields, the writer validates and formats one
+record at a time, and analysis takes a 1-D softmax per record.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+import numpy as np
+
+from specverify.analysis import DEFAULT_BINS, AnalysisReport, Histogram, ScatterPoint, _histogram
+from specverify.logits import logit_ratio
+from specverify.trace import (
+    FORMAT_VERSION,
+    _MAGIC,
+    TraceFile,
+    TraceFormatError,
+    TraceHeader,
+    TraceRecord,
+)
+
+
+def softmax(values, temperature: float) -> np.ndarray:
+    z = np.asarray(values, dtype=np.float64)
+    e = np.exp((z - z.max()) / temperature)
+    return e / e.sum()
+
+
+def validate_record(rec: TraceRecord, vocab_size: int, where: str = "record") -> None:
+    if rec.step < 0:
+        raise TraceFormatError(f"{where}: step must be non-negative")
+    if not 0 < rec.temperature < np.inf:
+        raise TraceFormatError(f"{where}: temperature {rec.temperature} must be finite and > 0")
+    if len(rec.top_k) < 2:
+        raise TraceFormatError(f"{where}: top-k list needs at least 2 entries")
+    seen = set()
+    for tok, logit in rec.top_k:
+        if not 0 <= tok < vocab_size:
+            raise TraceFormatError(f"{where}: token {tok} out of range [0, {vocab_size})")
+        if not np.isfinite(logit):
+            raise TraceFormatError(f"{where}: non-finite logit for token {tok}")
+        if tok in seen:
+            raise TraceFormatError(f"{where}: duplicate token {tok} in top-k list")
+        seen.add(tok)
+    for (t_a, z_a), (t_b, z_b) in zip(rec.top_k, rec.top_k[1:]):
+        if not (z_a > z_b or (z_a == z_b and t_a < t_b)):
+            raise TraceFormatError(
+                f"{where}: top-k ordering violated at tokens {t_a},{t_b} "
+                "(must be logit-descending, ties by ascending token id)"
+            )
+    if rec.chosen_draft is not None and not 0 <= rec.chosen_draft < vocab_size:
+        raise TraceFormatError(f"{where}: drafted token {rec.chosen_draft} out of range")
+
+
+def _f17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def write_trace(trace: TraceFile, destination: str | Path) -> None:
+    """Write a validated trace; round-trips bit-exactly through read_trace."""
+    for i, rec in enumerate(trace.records):
+        validate_record(rec, trace.header.vocab_size, where=f"record {i + 1}")
+    if "\n" in trace.header.producer or "\r" in trace.header.producer:
+        raise TraceFormatError("producer string must not contain newlines")
+    lines = [
+        f"{_MAGIC} v{trace.header.version} "
+        f"vocab={trace.header.vocab_size} producer={trace.header.producer}"
+    ]
+    for rec in trace.records:
+        ctx = "-" if rec.context_hash is None else str(rec.context_hash)
+        draft = "-" if rec.chosen_draft is None else str(rec.chosen_draft)
+        topk = ",".join(f"{tok}:{_f17(z)}" for tok, z in rec.top_k)
+        lines.append(
+            f"step={rec.step} ctx={ctx} temp={_f17(rec.temperature)} draft={draft} topk={topk}"
+        )
+    Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _field(parts: list[str], idx: int, key: str, where: str) -> str:
+    if idx >= len(parts) or not parts[idx].startswith(key + "="):
+        raise TraceFormatError(f"{where}: expected field {key}=...")
+    return parts[idx][len(key) + 1 :]
+
+
+def _parse_record(line: str, where: str) -> TraceRecord:
+    parts = line.split(" ")
+    if len(parts) != 5:
+        raise TraceFormatError(f"{where}: expected 5 fields, got {len(parts)}")
+    try:
+        step = int(_field(parts, 0, "step", where))
+        ctx_s = _field(parts, 1, "ctx", where)
+        ctx = None if ctx_s == "-" else int(ctx_s)
+        temp = float(_field(parts, 2, "temp", where))
+        draft_s = _field(parts, 3, "draft", where)
+        draft = None if draft_s == "-" else int(draft_s)
+        topk_s = _field(parts, 4, "topk", where)
+        top_k = []
+        for entry in topk_s.split(","):
+            tok_s, _, z_s = entry.partition(":")
+            if not _:
+                raise ValueError(f"bad top-k entry {entry!r}")
+            top_k.append((int(tok_s), float(z_s)))
+    except ValueError as exc:
+        raise TraceFormatError(f"{where}: {exc}") from exc
+    return TraceRecord(
+        step=step,
+        top_k=tuple(top_k),
+        temperature=temp,
+        chosen_draft=draft,
+        context_hash=ctx,
+    )
+
+
+def read_trace(source: str | Path) -> tuple[TraceHeader, list[TraceRecord]]:
+    """Parse and validate a trace file record by record; errors cite the
+    offending record."""
+    text = Path(source).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if not lines:
+        raise TraceFormatError(f"{source}: empty file, missing header")
+    head = lines[0].split(" ", 3)
+    if len(head) < 3 or head[0] != _MAGIC or not head[1].startswith("v"):
+        raise TraceFormatError(f"{source}: not a {_MAGIC} file")
+    try:
+        version = int(head[1][1:])
+    except ValueError as exc:
+        raise TraceFormatError(f"{source}: bad version field {head[1]!r}") from exc
+    if version != FORMAT_VERSION:
+        raise TraceFormatError(
+            f"{source}: unsupported trace format version {version} "
+            f"(this reader understands v{FORMAT_VERSION})"
+        )
+    if not head[2].startswith("vocab="):
+        raise TraceFormatError(f"{source}: header missing vocab= field")
+    try:
+        vocab_size = int(head[2][len("vocab=") :])
+    except ValueError as exc:
+        raise TraceFormatError(f"{source}: bad vocab field") from exc
+    if vocab_size < 2:
+        raise TraceFormatError(f"{source}: vocab must be >= 2, got {vocab_size}")
+    producer = ""
+    if len(head) == 4:
+        if not head[3].startswith("producer="):
+            raise TraceFormatError(f"{source}: header missing producer= field")
+        producer = head[3][len("producer=") :]
+
+    records: list[TraceRecord] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        where = f"record {len(records) + 1} (line {lineno})"
+        rec = _parse_record(line, where)
+        validate_record(rec, vocab_size, where)
+        records.append(rec)
+    return TraceHeader(vocab_size=vocab_size, producer=producer, version=version), records
+
+
+def analyze_records(
+    records: list[TraceRecord], theta: float, bins: int = DEFAULT_BINS
+) -> AnalysisReport:
+    """Build the report for one trace's records at relaxation threshold theta."""
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    if not records:
+        raise ValueError("cannot analyze an empty trace")
+    top1s: list[float] = []
+    ratios: list[float] = []
+    prob_ratios: list[float] = []
+    scatter: list[ScatterPoint] = []
+    in_zone = 0
+    for rec in records:
+        (_, z1), (_, z2) = rec.top_k[0], rec.top_k[1]
+        r = logit_ratio(z1, z2)
+        top1s.append(z1)
+        if r is not None:
+            ratios.append(r)
+            if r > theta:
+                in_zone += 1
+        prob_ratios.append(math.exp((z2 - z1) / rec.temperature))
+        probs = softmax([z for _, z in rec.top_k], rec.temperature)
+        scatter.append(
+            ScatterPoint(
+                step=rec.step,
+                z1=z1,
+                z2=z2,
+                p1=float(probs[0]),
+                p2=float(probs[1]),
+                ratio=r,
+            )
+        )
+    n = len(records)
+    return AnalysisReport(
+        theta=theta,
+        record_count=n,
+        ratio_defined_count=len(ratios),
+        relaxation_fraction=in_zone / n,
+        top1_hist=_histogram(top1s, bins),
+        ratio_hist=_histogram(ratios, bins) if ratios else Histogram((), ()),
+        prob_ratio_hist=_histogram(prob_ratios, bins),
+        scatter=tuple(scatter),
+    )
