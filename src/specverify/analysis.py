@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,7 @@ DEFAULT_BINS = 40
 class Histogram:
     edges: tuple[float, ...]
     counts: tuple[int, ...]
+    outside: int = 0  # the non-finite values, which no bin counts
 
     @property
     def total(self) -> int:
@@ -54,8 +56,23 @@ class AnalysisReport:
 
 
 def _histogram(values, bins: int) -> Histogram:
-    counts, edges = np.histogram(np.asarray(values, dtype=np.float64), bins=bins)
-    return Histogram(edges=tuple(float(e) for e in edges), counts=tuple(int(c) for c in counts))
+    """The finite values in `bins` equal bins over their range, drawn as
+    numpy.histogram draws them; where that range has no `bins` finite-width
+    bins (a huge value, or a width past the largest float), its ends are
+    padded by a few ulps and the edges stepped in from both ends."""
+    v = np.asarray(values, dtype=np.float64)
+    finite = v[np.isfinite(v)]
+    lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(lo, hi, bins + 1)
+    if not (edges[1:] > edges[:-1]).all():
+        pad, top = 4 * bins * math.ulp(max(-lo, hi)), sys.float_info.max  # 2+ ulps a bin
+        t = np.linspace(0.0, 1.0, bins + 1)
+        edges = max(lo - pad, -top) * (1 - t) + min(hi + pad, top) * t
+    counts, edges = np.histogram(finite, bins=edges)
+    return Histogram(tuple(edges.tolist()), tuple(counts.tolist()), v.size - finite.size)
 
 
 def analyze_trace(trace: TraceFile, theta: float, bins: int = DEFAULT_BINS) -> AnalysisReport:
@@ -133,4 +150,6 @@ def summarize(report: AnalysisReport) -> str:
         f"relaxation zone r > {report.theta:g}: "
         f"{report.relaxation_fraction:.4f} of records",
     ]
+    if report.ratio_hist.outside:  # z2/z1 is the only value that can overflow
+        lines.append(f"ratios off the histogram (-inf): {report.ratio_hist.outside}")
     return "\n".join(lines)

@@ -138,7 +138,7 @@ def greedy_decode(target: ScoringModel, prompt: Sequence[int], n_tokens: int) ->
         raise ValueError("n_tokens must be >= 1")
     ctx = list(prompt)
     for _ in range(n_tokens):
-        ctx.append(int(np.argmax(target.score(ctx[-target.order :]))))
+        ctx.append(int(target.score(ctx[-target.order :]).argmax()))
     return ctx[len(prompt) :]
 
 

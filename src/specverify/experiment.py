@@ -173,13 +173,19 @@ def default_prompt(seed: int, vocab_size: int, length: int) -> list[int]:
     return [int(t) for t in rng.integers(0, vocab_size, size=max(length, 1))]
 
 
-def build_point(
-    spec: ExperimentSpec, theta: float, k: int, temperature: float, rep: int
-) -> tuple[SyntheticTargetModel, PerturbedDraftModel, DecodeConfig, CostModel, list[int]]:
-    """The target, draft, decode config, cost model and prompt of one grid point."""
-    seed = row_seed(spec.seed, theta, k, temperature, rep)
+def spec_models(spec: ExperimentSpec) -> tuple[SyntheticTargetModel, PerturbedDraftModel]:
+    """The target and draft of a spec, which all its grid points can share."""
     target = SyntheticTargetModel(spec.target)
-    draft = PerturbedDraftModel(target, spec.draft)
+    return target, PerturbedDraftModel(target, spec.draft)
+
+
+def build_point(
+    spec: ExperimentSpec, theta: float, k: int, temperature: float, rep: int, models=None
+) -> tuple[SyntheticTargetModel, PerturbedDraftModel, DecodeConfig, CostModel, list[int]]:
+    """The target, draft, decode config, cost model and prompt of one grid point;
+    `models`, the spec's pair from `spec_models`, is built fresh when not given."""
+    seed = row_seed(spec.seed, theta, k, temperature, rep)
+    target, draft = models or spec_models(spec)
     config = spec.decode_config(theta, k, temperature, seed)
     cost = CostModel(c_draft=spec.cost_ratio)
     prompt = default_prompt(seed, spec.target.vocab_size, spec.target.order)
@@ -187,10 +193,10 @@ def build_point(
 
 
 def run_point(
-    spec: ExperimentSpec, theta: float, k: int, temperature: float, rep: int
+    spec: ExperimentSpec, theta: float, k: int, temperature: float, rep: int, models=None
 ) -> dict:
     """Execute one grid point and return its CSV row."""
-    target, draft, config, cost, prompt = build_point(spec, theta, k, temperature, rep)
+    target, draft, config, cost, prompt = build_point(spec, theta, k, temperature, rep, models)
     out, metrics = decode(target, draft, config, prompt, cost=cost)
     vanilla = greedy_decode(target, prompt, len(out))
     metrics = replace(metrics, agreement_rate=agreement_rate(out, vanilla))
@@ -210,9 +216,11 @@ def run_point(
 
 
 def sweep_rows(spec: ExperimentSpec) -> list[dict]:
-    """All grid rows in lexicographic (theta, k, temperature, repetition) order."""
+    """All grid rows in lexicographic (theta, k, temperature, repetition) order;
+    the points share one model pair, so a window is scored once per sweep."""
     grid = product(spec.theta, spec.k, spec.temperature, range(spec.repetitions))
-    return [run_point(spec, *point) for point in grid]
+    models = spec_models(spec)
+    return [run_point(spec, *point, models) for point in grid]
 
 
 def rows_to_csv(rows: Sequence[dict]) -> str:

@@ -36,7 +36,7 @@ def _as_logit_array(values, rows: bool = False) -> np.ndarray:
     z = np.asarray(values, dtype=np.float64)
     if z.ndim != 1 and not (rows and z.ndim == 2):
         raise ValueError(f"logit vector must be 1-D, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("logit vector contains non-finite entries")
     return z
 
@@ -57,10 +57,10 @@ def top_two(values) -> TopTwo:
     z = _as_logit_array(values)
     if z.size < 2:
         raise ValueError("top_two needs a vocabulary of at least 2 tokens")
-    v1 = int(np.argmax(z))  # first occurrence of the max = smallest id
+    v1 = int(z.argmax())  # first occurrence of the max = smallest id
     masked = z.copy()
     masked[v1] = -np.inf
-    v2 = int(np.argmax(masked))
+    v2 = int(masked.argmax())
     z1 = float(z[v1])
     z2 = float(z[v2])
     return TopTwo(v1=v1, v2=v2, z1=z1, z2=z2, margin=z1 - z2, ratio=logit_ratio(z1, z2))

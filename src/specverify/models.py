@@ -254,10 +254,12 @@ def draft_chain(
     for _ in range(k):
         z = model.score(ctx)
         if mode == "greedy":
-            tok = int(np.argmax(z))
+            tok = int(z.argmax())
         else:
-            p = softmax(z, temperature)
-            tok = int(gen.choice(p.size, p=p))
+            # Generator.choice(p.size, p=p)'s own draw, without re-checking p
+            cdf = softmax(z, temperature).cumsum()
+            cdf /= cdf[-1]
+            tok = int(cdf.searchsorted(gen.random(), side="right"))
         out.append(tok)
         ctx.append(tok)
         del ctx[: -model.order]

@@ -380,6 +380,31 @@ class TestExitCodes:
         assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"record 2 (line 3): {named}" in capsys.readouterr().err
 
+    # valid records whose values numpy cannot bin by itself
+    @pytest.mark.parametrize(
+        "topks, binned_ratios, outside",
+        [
+            (["1:1e300,0:0"], 1, 0),  # a range too narrow for 40 finite-width bins
+            (["1:5e-324,0:-1e300"], 0, 1),  # z2/z1 overflows to -inf
+            (["1:1e308,0:0", "1:-1e308,0:-1.5e308"], 1, 0),  # a range past the largest float
+        ],
+    )
+    def test_extreme_valid_trace_analyzes(self, topks, binned_ratios, outside, tmp_path, capsys):
+        path = tmp_path / "t.trace"
+        path.write_text(
+            "specverify-trace v1 vocab=64 producer=\n"
+            + "".join(f"step={i} ctx=- temp=1 draft=- topk={t}\n" for i, t in enumerate(topks))
+        )
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert ("ratios off the histogram (-inf): 1" in out) == bool(outside)
+        top1 = read_rows(tmp_path / "out" / "top1_hist.csv")
+        assert len(top1) == 40 and sum(int(row["count"]) for row in top1) == len(topks)
+        edges = [float(row["bin_left"]) for row in top1] + [float(top1[-1]["bin_right"])]
+        assert all(a < b for a, b in zip(edges, edges[1:])) and np.isfinite(edges).all()
+        ratio = read_rows(tmp_path / "out" / "ratio_hist.csv")
+        assert sum(int(row["count"]) for row in ratio) == binned_ratios
+
     def test_invalid_trace_is_2(self, tmp_path, capsys):
         path = tmp_path / "corrupt.trace"
         path.write_text("specverify-trace v1 vocab=64 producer=\nstep=0 bogus\n")

@@ -1,9 +1,14 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specverify import models
+from specverify import experiment, models
 from specverify.engine import DecodeConfig, decode, greedy_decode
-from specverify.logits import top_two
+from specverify.experiment import run_point, spec_from_dict, sweep_rows
+from specverify.logits import softmax, top_two
 from specverify.models import (
     MAX_TREE_LEAVES,
     AdversarialDraftModel,
@@ -133,6 +138,32 @@ class TestDraftChain:
     def test_mode_validated(self, draft):
         with pytest.raises(ValueError):
             draft_chain(draft, [1, 2], 3, mode="beam")
+
+    @given(
+        logits=st.integers(2, 80).flatmap(
+            lambda v: st.lists(st.floats(-1e6, 1e6), min_size=v, max_size=v)
+        ),
+        temperature=st.floats(0.01, 50.0),
+        seed=st.integers(0, 2**64 - 1),
+        k=st.integers(1, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sampled_draws_equal_generator_choice(self, logits, temperature, seed, k):
+        """The inverse-CDF draw is Generator.choice(p.size, p=p)'s, state and all."""
+        z = np.array(logits)
+        z.flags.writeable = False
+
+        class Constant:  # scores every context with the same logits
+            vocab_size, order = z.size, 1
+
+            def score(self, context):
+                return z
+
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        chain = draft_chain(Constant(), [0], k, temperature, "sample", ours)
+        p = softmax(z, temperature)
+        assert chain == [int(reference.choice(p.size, p=p)) for _ in range(k)]
+        assert ours.bit_generator.state == reference.bit_generator.state
 
 
 class TestAdversarialDraft:
@@ -309,3 +340,26 @@ class TestLogitMemo:
                 assert np.array_equal(z, fresh.score(ctx))
         assert len(target._memo) == 5
         assert len(draft._memo) == 5
+
+
+SHARED_PAIR_GRID = {"theta": [0.8, 0.95], "k": [2, 3], "temperature": [0.6, 1.4], "repetitions": 2}
+
+
+@pytest.mark.parametrize("memo_floats", [models.MEMO_FLOATS, 5 * 64])
+@pytest.mark.parametrize("draft_mode", ["sample", "greedy"])
+@pytest.mark.parametrize("mode", ["chain", "tree"])
+def test_sweep_rows_equal_rows_of_per_point_fresh_models(monkeypatch, memo_floats, draft_mode, mode):
+    """A sweep shares one model pair across its points, and its memo with them;
+    the rows are those of building a fresh pair for every point."""
+    monkeypatch.setattr(models, "MEMO_FLOATS", memo_floats)  # 5 windows: past the cap
+    spec = spec_from_dict(
+        {**SHARED_PAIR_GRID, "draft_mode": draft_mode, "mode": mode, "max_tokens": 80}
+    )
+    grid = product(spec.theta, spec.k, spec.temperature, range(spec.repetitions))
+    fresh = [run_point(spec, *point) for point in grid]
+    built = []
+    monkeypatch.setattr(
+        experiment, "SyntheticTargetModel", lambda cfg: built.append(cfg) or SyntheticTargetModel(cfg)
+    )
+    assert sweep_rows(spec) == fresh
+    assert len(fresh) == 16 and built == [spec.target]

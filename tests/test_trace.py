@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,27 @@ class TestRoundTrip:
         path = tmp_path / "p.trace"
         write_trace(TraceFile(TraceHeader(64, producer)), path)
         assert read_trace(path).header.producer == producer
+
+    @pytest.mark.parametrize(
+        "char",
+        [chr(c) for c in [*range(0x21), *range(0x7F, 0xA1), 0x1680, 0x2028, 0x2029, 0x3000]],
+        ids=lambda char: f"U+{ord(char):04X}",
+    )
+    def test_producer_is_read_back_or_refused(self, char, tmp_path):
+        """read_trace splits lines with str.splitlines(), so write_trace refuses
+        every character that breaks a line there and round-trips the others."""
+        producer = f"a{char}b"
+        path = tmp_path / "p.trace"
+        trace = TraceFile(TraceHeader(16, producer), [make_record()])
+        if len(producer.splitlines()) > 1:
+            with pytest.raises(TraceFormatError, match=re.escape(f"producer {producer!r}")):
+                write_trace(trace, path)
+            assert not path.exists()
+        else:
+            write_trace(trace, path)
+            back = read_trace(path)
+            assert back.header.producer == producer
+            assert_records_bit_equal(back.records, trace.records)
 
 
 class TestValidation:
