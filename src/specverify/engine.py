@@ -22,8 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import verify
 from .models import ScoringModel, build_draft_tree, check_tree_size, draft_chain, pack_tokens
-from .verify import CycleResult, Decision, VerificationPolicy, verify_chain, verify_tree
+from .verify import CycleResult, Decision, VerificationPolicy, top_two_reader, verify_tree
+from .verify import verify_chain  # noqa: F401  (perfbench traces engine.verify_chain)
 
 DEFAULT_COST_RATIO = 0.05
 
@@ -192,6 +194,7 @@ def decode(
         raise ValueError("field 'mode': trace recording requires chain mode")
 
     window = max(target.order, draft.order)
+    target_top_two = top_two_reader(target)
     ctx = list(prompt)
     hasher = context_hasher(ctx) if recorder is not None else None
     gen = np.random.default_rng(config.seed)
@@ -212,17 +215,17 @@ def decode(
                 draft, tail, config.k, config.temperature, config.draft_mode, gen
             )
             n, seq = len(tail), tail + drafted
-            vectors = [
-                target.score(seq[max(0, n + i - window) : n + i]) for i in range(config.k + 1)
-            ]
+            contexts = [seq[max(0, n + i - window) : n + i] for i in range(config.k + 1)]
+            tops = [target_top_two(c) for c in contexts]
             if recorder is not None:
                 prefix = hasher.copy()
-                for i, vector in enumerate(vectors):
+                for i, c in enumerate(contexts):
                     chosen = drafted[i] if i < config.k else None
-                    recorder(position + i, vector, chosen, hash_value(prefix))
+                    recorder(position + i, target.score(c), chosen, hash_value(prefix))
                     prefix.update(pack_tokens(drafted[i : i + 1]))
-            result = verify_chain(
-                drafted, vectors[: config.k], config.policy, bonus_logits=vectors[config.k]
+            # through the module, so a wrapper on verify.verify_top_two_chain sees live cycles
+            result = verify.verify_top_two_chain(
+                drafted, tops[: config.k], config.policy, tops[config.k].v1
             )
             position += config.k + 1
         else:

@@ -88,7 +88,7 @@ def softmax(values, temperature: float | np.ndarray = 1.0) -> np.ndarray:
     `temperature` a scalar or a column of per-row temperatures; each row
     equals the softmax of that row alone, bit for bit.
     """
-    # a float skips numpy here: sampled drafting calls softmax once per token
+    # a float skips numpy here: sampled drafting calls softmax once per new window
     if isinstance(temperature, float):
         positive = temperature > 0.0
     else:
@@ -98,5 +98,7 @@ def softmax(values, temperature: float | np.ndarray = 1.0) -> np.ndarray:
     z = _as_logit_array(values, rows=True)
     if z.size == 0:
         raise ValueError("softmax of an empty vector is undefined")
-    e = np.exp((z - z.max(axis=-1, keepdims=True)) / temperature)
+    # a span past the float range or a tiny temperature overflows to -inf: the limit
+    with np.errstate(over="ignore"):
+        e = np.exp((z - z.max(axis=-1, keepdims=True)) / temperature)
     return e / e.sum(axis=-1, keepdims=True)

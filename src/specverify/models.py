@@ -13,8 +13,9 @@ alignment monotonically. Everything is a pure function of declared seeds.
 
 Since a score depends only on the last m tokens, each model instance memoises
 its logit vectors by window, up to MEMO_FLOATS floats; windows beyond that are
-computed without being stored. Returned vectors are read-only, so a caller's
-in-place edit raises instead of changing later scores.
+computed without being stored. An entry also keeps the window's top-2 and its
+sampling CDF at the last temperature, each derived on first use. Returned
+arrays are read-only, so a caller's in-place edit raises instead.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .logits import softmax
+from .logits import TopTwo, softmax, top_two
 from .verify import TreeNode
 
 DEFAULT_VOCAB_SIZE = 64
@@ -133,20 +134,56 @@ def _check_context(context: Sequence[int], vocab_size: int) -> None:
             raise ValueError(f"context token {tok} out of vocabulary range [0, {vocab_size})")
 
 
-def _remember(memo: dict, window: tuple[int, ...], z: np.ndarray) -> np.ndarray:
-    """z, made read-only, and stored under its window while the memo has room."""
-    z.flags.writeable = False
-    if (len(memo) + 1) * z.size <= MEMO_FLOATS:
-        memo[window] = z
-    return z
+def softmax_cdf(z: np.ndarray, temperature: float) -> np.ndarray:
+    """The read-only CDF Generator.choice(p.size, p=p) draws from, p = softmax(z, temperature)."""
+    cdf = softmax(z, temperature).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
 
 
-class SyntheticTargetModel:
+class _MemoisedModel:
+    """The window memo of a model whose subclass keeps a `_memo` dict and computes
+    `_window_logits(window)`. An entry is [logits, TopTwo or None, temperature, CDF or None]."""
+
+    def _entry(self, window: tuple[int, ...]) -> list:
+        entry = self._memo.get(window)
+        if entry is None:
+            z = self._window_logits(window)
+            z.flags.writeable = False
+            entry = [z, None, None, None]
+            if (len(self._memo) + 1) * z.size <= MEMO_FLOATS:
+                self._memo[window] = entry
+        return entry
+
+    def _context_entry(self, context: Sequence[int]) -> list:
+        _check_context(context, self.vocab_size)
+        return self._entry(tuple(context[-self.order :]))
+
+    def score(self, context: Sequence[int]) -> np.ndarray:
+        return self._context_entry(context)[0]
+
+    def top_two(self, context: Sequence[int]) -> TopTwo:
+        """top_two(self.score(context)), derived once per memoised window."""
+        entry = self._context_entry(context)
+        if entry[1] is None:
+            entry[1] = top_two(entry[0])
+        return entry[1]
+
+    def sample_cdf(self, context: Sequence[int], temperature: float) -> np.ndarray:
+        """softmax_cdf(self.score(context), temperature); a new temperature replaces it."""
+        entry = self._context_entry(context)
+        if entry[2] != temperature:
+            entry[2:] = temperature, softmax_cdf(entry[0], temperature)
+        return entry[3]
+
+
+class SyntheticTargetModel(_MemoisedModel):
     """Order-m seeded table model emitting Gumbel-shaped logits."""
 
     def __init__(self, config: SyntheticTargetConfig):
         self.config = config
-        self._memo: dict[tuple[int, ...], np.ndarray] = {}
+        self._memo: dict[tuple[int, ...], list] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -156,29 +193,21 @@ class SyntheticTargetModel:
     def order(self) -> int:
         return self.config.order
 
-    def score(self, context: Sequence[int]) -> np.ndarray:
-        _check_context(context, self.config.vocab_size)
-        return self._window_logits(tuple(context[-self.config.order :]))
-
     def _window_logits(self, window: tuple[int, ...]) -> np.ndarray:
-        """Logits of a window of at most `order` tokens the caller has checked."""
         cfg = self.config
-        z = self._memo.get(window)
-        if z is None:
-            rng = window_rng(cfg.seed, window, _TARGET_SALT)
-            u = np.maximum(rng.random(cfg.vocab_size), 1e-12)
-            gumbel = -np.log(-np.log(u))
-            z = _remember(self._memo, window, cfg.logit_offset + cfg.logit_spread * gumbel)
-        return z
+        rng = window_rng(cfg.seed, window, _TARGET_SALT)
+        u = np.maximum(rng.random(cfg.vocab_size), 1e-12)
+        gumbel = -np.log(-np.log(u))
+        return cfg.logit_offset + cfg.logit_spread * gumbel
 
 
-class PerturbedDraftModel:
+class PerturbedDraftModel(_MemoisedModel):
     """Draft model: target logits plus seeded Gaussian noise of scale sigma."""
 
     def __init__(self, target: SyntheticTargetModel, config: PerturbedDraftConfig):
         self.target = target
         self.config = config
-        self._memo: dict[tuple[int, ...], np.ndarray] = {}
+        self._memo: dict[tuple[int, ...], list] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -188,17 +217,12 @@ class PerturbedDraftModel:
     def order(self) -> int:
         return self.target.order
 
-    def score(self, context: Sequence[int]) -> np.ndarray:
-        _check_context(context, self.vocab_size)
-        window = tuple(context[-self.order :])
-        z = self._memo.get(window)
-        if z is None:
-            z = self.target._window_logits(window)
-            if self.config.noise_scale != 0:
-                rng = window_rng(self.config.noise_seed, window, _DRAFT_SALT)
-                z = z + self.config.noise_scale * rng.standard_normal(self.vocab_size)
-            z = _remember(self._memo, window, z)
-        return z
+    def _window_logits(self, window: tuple[int, ...]) -> np.ndarray:
+        z = self.target._entry(window)[0]
+        if self.config.noise_scale == 0:
+            return z
+        rng = window_rng(self.config.noise_seed, window, _DRAFT_SALT)
+        return z + self.config.noise_scale * rng.standard_normal(self.vocab_size)
 
 
 class AdversarialDraftModel:
@@ -248,18 +272,18 @@ def draft_chain(
         raise ValueError(f"draft length k must be >= 1, got {k}")
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown draft mode {mode!r}")
-    gen = np.random.default_rng(rng) if mode == "sample" else None
+    if mode == "sample":
+        gen = np.random.default_rng(rng)
+        # a model that only scores gets the same CDF, derived from its score
+        cdf = getattr(model, "sample_cdf", None) or (lambda c, t: softmax_cdf(model.score(c), t))
     ctx = list(context)
     out: list[int] = []
     for _ in range(k):
-        z = model.score(ctx)
         if mode == "greedy":
-            tok = int(z.argmax())
+            tok = int(model.score(ctx).argmax())
         else:
             # Generator.choice(p.size, p=p)'s own draw, without re-checking p
-            cdf = softmax(z, temperature).cumsum()
-            cdf /= cdf[-1]
-            tok = int(cdf.searchsorted(gen.random(), side="right"))
+            tok = int(cdf(ctx, temperature).searchsorted(gen.random(), side="right"))
         out.append(tok)
         ctx.append(tok)
         del ctx[: -model.order]

@@ -105,6 +105,11 @@ def decide_position(top: TopTwo, draft_token: int, policy: VerificationPolicy) -
     return PositionDecision(Decision.REJECTED, draft_token, top.v1, top.ratio)
 
 
+def top_two_reader(model):
+    """`model.top_two`, or for a model that only scores, top_two of its score."""
+    return getattr(model, "top_two", None) or (lambda context: top_two(model.score(context)))
+
+
 def verify_top_two_chain(
     draft: Sequence[int],
     top_twos: Sequence[TopTwo],
@@ -199,11 +204,12 @@ def verify_tree(
     if not roots:
         raise ValueError("cannot verify an empty tree")
     _validate_tree(roots, target_scorer.vocab_size)
+    target_top_two = top_two_reader(target_scorer)
     ctx = list(context)
     children: Sequence[TreeNode] = roots
     decisions: list[PositionDecision] = []
     while children:
-        top = top_two(target_scorer.score(ctx))
+        top = target_top_two(ctx)
         decision, chosen = min(
             ((decide_position(top, child.token, policy), child) for child in children),
             key=lambda pair: _PREFERENCE[pair[0].label],
@@ -213,4 +219,4 @@ def verify_tree(
             return CycleResult(tuple(decisions), None)
         ctx = (ctx + [chosen.token])[-target_scorer.order :]
         children = chosen.children
-    return CycleResult(tuple(decisions), top_two(target_scorer.score(ctx)).v1)
+    return CycleResult(tuple(decisions), target_top_two(ctx).v1)

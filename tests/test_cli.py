@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from specverify.cli import main
 from specverify.engine import DecodeConfig, decode
@@ -11,6 +17,9 @@ from specverify.trace import TraceFile, TraceHeader, TraceRecord, TraceRecorder,
 from specverify.verify import VerificationPolicy
 
 from conftest import make_pair
+
+
+ABLATION_SPEC = Path(__file__).resolve().parents[1] / "scripts" / "ablation_spec.json"
 
 
 def read_rows(path):
@@ -63,6 +72,19 @@ class TestRun:
         assert len({r["row_seed"] for r in rows}) == 5  # distinct per-rep seeds
         mean_tau = sum(float(r["tau"]) for r in rows) / 5
         assert f"mean tau            : {mean_tau:.4f}" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_temperature_samples_the_draft_argmax(self, tmp_path):
+        """At temperature 1e-310 the draft's softmax overflows to its limit, one-hot
+        on the argmax, so sampled drafting decodes as greedy drafting does."""
+        rows = {}
+        for mode in ("sample", "greedy"):
+            spec, out = tmp_path / f"{mode}.json", tmp_path / f"{mode}.csv"
+            spec.write_text(json.dumps({**json.loads(ABLATION_SPEC.read_text()), "draft_mode": mode}))
+            argv = ["run", "--spec", str(spec), "--temperature", "1e-310", "--max-tokens", "200"]
+            assert main([*argv, "--out", str(out)]) == 0
+            (rows[mode],) = read_rows(out)
+        assert {**rows["sample"], "draft_mode": "greedy"} == rows["greedy"]
 
     def test_grid_in_run_is_validation_error(self, capsys):
         assert main(["run", "--theta", "0.8,0.9"]) == 2
@@ -387,8 +409,11 @@ class TestExitCodes:
             (["1:1e300,0:0"], 1, 0),  # a range too narrow for 40 finite-width bins
             (["1:5e-324,0:-1e300"], 0, 1),  # z2/z1 overflows to -inf
             (["1:1e308,0:0", "1:-1e308,0:-1.5e308"], 1, 0),  # a range past the largest float
+            # logits spanning twice the largest float: softmax overflows to its limit
+            (["1:1.7976931348623157e308,0:-1.7976931348623157e308"], 1, 0),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_extreme_valid_trace_analyzes(self, topks, binned_ratios, outside, tmp_path, capsys):
         path = tmp_path / "t.trace"
         path.write_text(
@@ -405,6 +430,15 @@ class TestExitCodes:
         ratio = read_rows(tmp_path / "out" / "ratio_hist.csv")
         assert sum(int(row["count"]) for row in ratio) == binned_ratios
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_trace_temperature_analyzes(self, tmp_path, capsys):
+        path = tmp_path / "t.trace"
+        make_trace(path, [((3, 2.5), (1, 1.25))], temp=1e-310)
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 0
+        (row,) = read_rows(tmp_path / "out" / "scatter.csv")
+        assert (row["p1"], row["p2"]) == ("1.0", "0.0")
+        capsys.readouterr()
+
     def test_invalid_trace_is_2(self, tmp_path, capsys):
         path = tmp_path / "corrupt.trace"
         path.write_text("specverify-trace v1 vocab=64 producer=\nstep=0 bogus\n")
@@ -414,3 +448,73 @@ class TestExitCodes:
     def test_help_is_0(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+# byte strings spliced into a valid trace: field syntax, numbers at and past the
+# float and integer limits, and the separators str.splitlines() also breaks at
+FUZZ_PIECES = [
+    b"-", b"0", b"7", b"-1", b".", b"e", b"e308", b"e-310", b"nan", b"inf", b"1e400",
+    b"18446744073709551616", b":", b",", b"=", b" ", b"\t", b"\n", b"\r", b"\x0b",
+    b"\xe2\x80\xa8", b"\xff", b"\x00", b"\xd9\xa3", b"step=", b"ctx=", b"temp=",
+    b"draft=", b"topk=", b"vocab=",
+]
+SPLICE = st.tuples(
+    st.integers(0, 10**6), st.integers(0, 12), st.lists(st.sampled_from(FUZZ_PIECES), max_size=3)
+)
+LINE_EDIT = st.tuples(st.integers(0, 10**6), st.sampled_from(["drop", "repeat", "swap"]))
+
+
+def mutate(data: bytes, edits) -> bytes:
+    for edit in edits:
+        if isinstance(edit[1], int):
+            at, cut, pieces = edit
+            at %= len(data) + 1
+            data = data[:at] + b"".join(pieces) + data[at + cut :]
+            continue
+        lines = data.splitlines(keepends=True) or [b""]
+        i = edit[0] % len(lines)
+        if edit[1] == "drop":
+            del lines[i]
+        elif edit[1] == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            j = (i + 1) % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        data = b"".join(lines)
+    return data
+
+
+@pytest.fixture(scope="module")
+def recorded_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "base.trace"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["record", "--max-tokens", "12", "--k", "3", "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+@given(
+    command=st.sampled_from(["replay", "analyze"]),
+    edits=st.lists(st.one_of(SPLICE, LINE_EDIT), min_size=1, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_mutated_traces_exit_0_or_2(recorded_trace, command, edits):
+    """Every mutated trace is analyzed or replayed, or refused with exit 2; none
+    escapes as an exception or a warning. An accepted trace is a fixpoint of
+    reading and writing it back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "t.trace", Path(tmp) / "again.trace"
+        path.write_bytes(mutate(recorded_trace, edits))
+        flags = ["--k", "3"] if command == "replay" else []  # the recorded K
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(path), *flags, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2)
+        event(f"{command} exit {code}")
+        if code == 0:
+            first = read_trace(path)
+            write_trace(first, again)
+            written = again.read_bytes()
+            second = read_trace(again)
+            assert second.header == first.header and second.records == first.records
+            write_trace(second, again)
+            assert again.read_bytes() == written

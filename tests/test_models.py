@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import cycle, product
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from specverify.models import (
     build_draft_tree,
     check_tree_size,
     draft_chain,
+    softmax_cdf,
 )
 from specverify.verify import TreeNode, VerificationPolicy
 
@@ -264,6 +265,12 @@ def fresh_pair(target_cfg, draft_cfg):
     return FreshModel(lambda: SyntheticTargetModel(target_cfg)), FreshModel(build_draft)
 
 
+def score_derived_cdf(z, temperature):
+    """The sampling CDF as draft_chain derived it from a score on every draw."""
+    cdf = softmax(z, temperature).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
 MEMO_CONFIGS = [
     (SyntheticTargetConfig(seed=42), PerturbedDraftConfig(noise_seed=7, noise_scale=0.5)),
     (SyntheticTargetConfig(seed=42), PerturbedDraftConfig(noise_seed=7, noise_scale=0.0)),
@@ -308,24 +315,65 @@ class TestLogitMemo:
         assert greedy_decode(target, prompt, 150) == greedy_decode(fresh_target, prompt, 150)
         assert build_draft_tree(draft, prompt, 2, 5) == build_draft_tree(fresh_draft, prompt, 2, 5)
 
+    @pytest.mark.parametrize("memo_windows", [None, 5])
+    @pytest.mark.parametrize("target_cfg, draft_cfg", MEMO_CONFIGS)
+    def test_statistics_match_the_score_derived_ones(
+        self, monkeypatch, memo_windows, target_cfg, draft_cfg
+    ):
+        """top_two and sample_cdf equal what a score-only model derives from its
+        score, for repeated windows behind new histories and a changing temperature."""
+        if memo_windows is not None:
+            monkeypatch.setattr(models, "MEMO_FLOATS", memo_windows * target_cfg.vocab_size)
+        target = SyntheticTargetModel(target_cfg)
+        draft = PerturbedDraftModel(target, draft_cfg)
+        fresh_target, fresh_draft = fresh_pair(target_cfg, draft_cfg)
+        rng = np.random.default_rng(13)
+        vocab = target_cfg.vocab_size
+        # a grid visited in turn, so a memoised window's CDF is asked for at several
+        temperatures = cycle([0.7, 1.0, 0.7, 1.3, 1.0])
+        for _ in range(200):
+            ctx = [int(t) for t in rng.integers(0, vocab, rng.integers(1, 8))]
+            other = [int(rng.integers(0, vocab)), *ctx]
+            for c in (ctx, other, ctx):
+                temperature = next(temperatures)
+                for model, fresh in ((target, fresh_target), (draft, fresh_draft)):
+                    assert model.top_two(c) == top_two(fresh.score(c))
+                    cdf = model.sample_cdf(c, temperature)
+                    assert not cdf.flags.writeable
+                    assert np.array_equal(cdf, score_derived_cdf(fresh.score(c), temperature))
+        if memo_windows is not None:
+            assert len(target._memo) == len(draft._memo) == memo_windows
+
+    def test_statistics_are_derived_once_per_window_and_temperature(self):
+        target, draft = make_pair()
+        assert target.top_two([3, 4]) is target.top_two([9, 3, 4])
+        cdf = draft.sample_cdf([3, 4], 0.7)
+        assert draft.sample_cdf([1, 3, 4], 0.7) is cdf
+        assert draft.sample_cdf([3, 4], 1.3) is not cdf
+        assert np.array_equal(draft.sample_cdf([3, 4], 0.7), cdf)
+
     @pytest.mark.parametrize("noise_scale", [0.5, 0.0])
     def test_memoised_window_still_checks_the_whole_context(self, noise_scale):
         target, draft = make_pair(noise_scale=noise_scale)
         for model in (target, draft):
-            model.score([1, 2])
+            reads = (model.score, model.top_two, lambda c: model.sample_cdf(c, 0.7))
+            for read in reads:
+                read([1, 2])
             assert (1, 2) in model._memo
-            for bad in ([99, 1, 2], [-1, 1, 2]):
+            for bad, read in product(([99, 1, 2], [-1, 1, 2]), reads):
                 with pytest.raises(ValueError, match="out of vocabulary"):
-                    model.score(bad)
+                    read(bad)
 
     @pytest.mark.parametrize("noise_scale", [0.5, 0.0])
     def test_returned_logits_are_read_only(self, noise_scale):
         target, draft = make_pair(noise_scale=noise_scale)
         for model in (target, draft):
-            for _ in range(2):  # the computed vector, then the memoised one
-                z = model.score([4, 5])
-                with pytest.raises(ValueError, match="read-only"):
-                    z[0] = 0.0
+            for _ in range(2):  # the computed arrays, then the memoised ones
+                z, cdf = model.score([4, 5]), model.sample_cdf([4, 5], 0.7)
+                # softmax_cdf is also the CDF of a model that only scores
+                for array in (z, cdf, softmax_cdf(z, 0.7)):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 0.0
         # the refused writes left the memoised vector as a fresh model scores it
         assert np.array_equal(target.score([4, 5]), make_pair()[0].score([4, 5]))
 
@@ -363,3 +411,20 @@ def test_sweep_rows_equal_rows_of_per_point_fresh_models(monkeypatch, memo_float
     )
     assert sweep_rows(spec) == fresh
     assert len(fresh) == 16 and built == [spec.target]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(draft_mode="greedy"),
+        dict(draft_mode="sample"),
+        dict(draft_mode="sample", mode="tree", tree_top_k=2),
+    ],
+)
+def test_sweep_rows_equal_rows_of_a_score_only_pair(fields):
+    """Models offering only `score` decode through the same statistics: every row
+    of a sweep over a temperature grid equals the shared memoised pair's."""
+    spec = spec_from_dict({**SHARED_PAIR_GRID, **fields, "max_tokens": 60})
+    score_only = fresh_pair(spec.target, spec.draft)
+    grid = product(spec.theta, spec.k, spec.temperature, range(spec.repetitions))
+    assert sweep_rows(spec) == [run_point(spec, *point, score_only) for point in grid]

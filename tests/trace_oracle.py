@@ -26,7 +26,8 @@ from specverify.trace import (
 
 def softmax(values, temperature: float) -> np.ndarray:
     z = np.asarray(values, dtype=np.float64)
-    e = np.exp((z - z.max()) / temperature)
+    with np.errstate(over="ignore"):  # overflow to -inf is the limit; exp gives 0
+        e = np.exp((z - z.max()) / temperature)
     return e / e.sum()
 
 
