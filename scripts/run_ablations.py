@@ -15,7 +15,7 @@ from pathlib import Path
 from specverify.cli import main as cli
 
 SPEC = Path(__file__).resolve().parent / "ablation_spec.json"
-THETAS = ("0.84", "0.86", "0.88", "0.9", "0.92", "0.94", "0.96")
+THETAS = "0.84,0.86,0.88,0.9,0.92,0.94,0.96"
 KS = "6,9,12,15"
 TEMPERATURES = "0.2,0.4,0.6,0.8,1.0"
 
@@ -38,19 +38,9 @@ def main() -> None:
     trace = args.outdir / "ablation.trace"
     run(["record", *base, "--out", str(trace)])
 
-    parts = []
-    for theta in THETAS:
-        out = args.outdir / f"theta_{theta}.csv"
-        run(["replay", str(trace), "--policy", "margin", "--theta", theta,
-             "--k", "7", "--out", str(out)])
-        parts.append(out)
     merged = args.outdir / "theta_sweep.csv"
-    lines = parts[0].read_text().splitlines()
-    for extra in parts[1:]:
-        lines.append(extra.read_text().splitlines()[1])
-    merged.write_text("\n".join(lines) + "\n")
-    for out in parts:
-        out.unlink()
+    run(["replay", str(trace), "--policy", "margin", "--theta", THETAS,
+         "--k", "7", "--out", str(merged)])
 
     run(["sweep", *base, "--k", KS, "--theta", "0.9",
          "--out", str(args.outdir / "k_sweep.csv")])

@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replay", help="re-verify a recorded trace under a policy")
     p_rep.add_argument("trace", type=Path, help="trace file to replay")
     p_rep.add_argument("--policy", choices=["strict", "margin"])
-    p_rep.add_argument("--theta", type=float)
+    p_rep.add_argument("--theta", type=_floats, help="relaxation threshold(s), comma-separated")
     p_rep.add_argument("--k", type=int)
     p_rep.add_argument("--cost-ratio", type=float)
     p_rep.add_argument("--out", help="metrics CSV destination")
@@ -151,22 +151,26 @@ def _cmd_record(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
     spec = _load_spec(args)
-    theta, k = spec.theta[0], spec.k[0]
-    policy = VerificationPolicy.from_name(spec.policy, theta)
-    metrics = replay_verify(trace, policy, k, CostModel(c_draft=spec.cost_ratio))
-    row = {
-        "policy": spec.policy,
-        "theta": theta,
-        "k": k,
-        "cost_ratio": spec.cost_ratio,
-        **dataclasses.asdict(metrics),
-    }
+    k, cost = spec.k[0], CostModel(c_draft=spec.cost_ratio)
+    rows = []
+    for theta in spec.theta:
+        policy = VerificationPolicy.from_name(spec.policy, theta)
+        metrics = replay_verify(trace, policy, k, cost)
+        rows.append({
+            "policy": spec.policy,
+            "theta": theta,
+            "k": k,
+            "cost_ratio": spec.cost_ratio,
+            **dataclasses.asdict(metrics),
+        })
+    taus = ",".join(f"{row['tau']:.4f}" for row in rows)  # in grid order
+    summary = f"tau={taus} over {metrics.cycles} cycles"
     if spec.out is not None:
-        write_rows([row], spec.out)
-        print(f"tau={metrics.tau:.4f} over {metrics.cycles} cycles; wrote {spec.out}")
+        write_rows(rows, spec.out)
+        print(f"{summary}; wrote {spec.out}")
     else:
-        sys.stdout.write(rows_to_csv([row]))
-        print(f"tau={metrics.tau:.4f} over {metrics.cycles} cycles", file=sys.stderr)
+        sys.stdout.write(rows_to_csv(rows))
+        print(summary, file=sys.stderr)
     return EXIT_OK
 
 

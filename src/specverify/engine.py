@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -148,9 +148,17 @@ def metrics_from_cycles(
     results: Sequence[CycleResult], total_committed: int, draft_steps: int, cost: CostModel, k: int
 ) -> DecodeMetrics:
     """Tally decision labels and bonus tokens over a run's cycles into its metrics."""
-    cycles = len(results)
-    speedup = simulated_speedup(total_committed, cycles, cost, k)
     labels = Counter(d.label for result in results for d in result.decisions)
+    bonus_count = sum(result.bonus_token is not None for result in results)
+    return metrics_from_counts(len(results), total_committed, labels, bonus_count, draft_steps, cost, k)
+
+
+def metrics_from_counts(
+    cycles: int, total_committed: int, labels: Mapping[Decision, int], bonus_count: int,
+    draft_steps: int, cost: CostModel, k: int,
+) -> DecodeMetrics:
+    """A run's metrics from its cycle, committed-token, decision-label and bonus counts."""
+    speedup = simulated_speedup(total_committed, cycles, cost, k)
     return DecodeMetrics(
         cycles=cycles,
         total_committed=total_committed,
@@ -158,7 +166,7 @@ def metrics_from_cycles(
         exact_count=labels[Decision.EXACT],
         relaxed_count=labels[Decision.RELAXED],
         rejected_count=labels[Decision.REJECTED],
-        bonus_count=sum(result.bonus_token is not None for result in results),
+        bonus_count=bonus_count,
         target_passes=cycles,
         draft_steps=draft_steps,
         simulated_speedup=speedup,

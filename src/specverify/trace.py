@@ -31,9 +31,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .engine import CostModel, DecodeMetrics, context_hasher, hash_value, metrics_from_cycles
+from .engine import CostModel, DecodeMetrics, context_hasher, hash_value, metrics_from_counts
 from .logits import TopTwo, logit_ratio
-from .verify import CycleResult, VerificationPolicy, verify_top_two_chain
+from .verify import CycleResult, Decision, VerificationPolicy, verify_top_two_chain
 
 FORMAT_VERSION = 1
 DEFAULT_TOP_K = 10
@@ -41,6 +41,7 @@ _MAGIC = "specverify-trace"
 _FIELDS = ("step", "ctx", "temp", "draft", "topk")
 _DIGITS = re.compile(r"[0-9]+")
 _CHUNK = 1024  # record lines converted at a time
+_BLOCK_FLOATS = 2**17  # logits a recorder holds unranked at once
 # one record line of the README grammar; a float is any field text, so a bad
 # one fails in float() with float()'s own message
 _RECORD = re.compile(
@@ -389,7 +390,10 @@ def hash_context(context: Sequence[int]) -> int:
 
 
 class TraceRecorder:
-    """Engine recorder callback filling trace columns during a decode."""
+    """Engine recorder callback filling trace columns during a decode.
+
+    Vectors are ranked a block at a time: a block holds at most
+    `_BLOCK_FLOATS` logits, and reading the records ranks a partial one."""
 
     def __init__(self, vocab_size: int, temperature: float, top_k: int = DEFAULT_TOP_K):
         if top_k < 2:
@@ -397,9 +401,11 @@ class TraceRecorder:
         self.vocab_size = vocab_size
         self.temperature = temperature
         self.top_k = min(top_k, vocab_size)
+        self._block = max(1, _BLOCK_FLOATS // max(vocab_size, 1))
         self._steps: list[int] = []
         self._ctxs: list[int | None] = []
         self._drafts: list[int] = []
+        self._pending: list[np.ndarray] = []  # vectors not yet ranked
         self._tokens: list[np.ndarray] = []
         self._logits: list[np.ndarray] = []
         self._trace: TraceFile | None = None
@@ -411,18 +417,35 @@ class TraceRecorder:
         chosen_draft: int | None,
         context_hash: int,
     ) -> None:
-        z = np.asarray(logits, dtype=np.float64)
-        # a copy, so the full-vocabulary sort result is not kept alive
-        order = np.lexsort((np.arange(z.size), -z))[: self.top_k].copy()
+        z = np.array(logits, dtype=np.float64)  # a copy: the caller may reuse its vector
+        if z.shape != (self.vocab_size,):
+            raise TraceFormatError(
+                f"record {len(self._steps) + 1}: logit vector of shape {z.shape}, "
+                f"expected ({self.vocab_size},)"
+            )
         self._steps.append(position)
         self._ctxs.append(context_hash)
         self._drafts.append(-1 if chosen_draft is None else chosen_draft)
-        self._tokens.append(order)
-        self._logits.append(z[order])
+        self._pending.append(z)
+        if len(self._pending) == self._block:
+            self._rank()
         self._trace = None
+
+    def _rank(self) -> None:
+        """Move the pending vectors' top-k into the columns. A stable sort of
+        the negated logits orders each row by descending logit, ties to the
+        smaller token id, as the trace grammar does."""
+        if self._pending:
+            z = np.stack(self._pending)
+            # the columns copy the top-k, so the full-vocabulary sort is not kept alive
+            order = np.argsort(-z, axis=1, kind="stable")[:, : self.top_k]
+            self._tokens.append(order.flatten())
+            self._logits.append(np.take_along_axis(z, order, axis=1).ravel())
+            self._pending = []
 
     def _validated(self) -> TraceFile:
         if self._trace is None:
+            self._rank()
             n = len(self._steps)
             columns = _columns(
                 np.array(self._steps, dtype=np.int64),
@@ -489,13 +512,18 @@ def iter_cycles(trace: TraceFile, k: int) -> list[tuple[int, int | None]]:
     return cycles
 
 
+def _complete_cycles(trace: TraceFile, k: int) -> list[tuple[int, int | None]]:
+    cycles = iter_cycles(trace, k)
+    if not cycles:
+        raise ValueError(f"trace holds no complete cycle of {k} drafted records")
+    return cycles
+
+
 def replay_cycles(
     trace: TraceFile, policy: VerificationPolicy, k: int
 ) -> list[CycleResult]:
     """Per-cycle verification results of a replay (decision-level view)."""
-    cycles = iter_cycles(trace, k)
-    if not cycles:
-        raise ValueError(f"trace holds no complete cycle of {k} drafted records")
+    cycles = _complete_cycles(trace, k)
     v1, v2, z1, z2 = (column.tolist() for column in trace.columns.top_two())
     drafts = trace.columns.draft.tolist()
     results = []
@@ -517,7 +545,31 @@ def replay_verify(
     k: int,
     cost: CostModel = CostModel(),
 ) -> DecodeMetrics:
-    """Re-run verification over a recorded trace using only the top-2 entries."""
-    results = replay_cycles(trace, policy, k)
-    total_committed = sum(len(result.committed_tokens) for result in results)
-    return metrics_from_cycles(results, total_committed, k * len(results), cost, k)
+    """Re-run verification over a recorded trace using only the top-2 entries.
+
+    One array pass over all cycles at once, deciding each position as
+    decide_position does; replay_cycles is the same replay cycle by cycle."""
+    cycles = _complete_cycles(trace, k)
+    n = len(cycles)
+    first = np.fromiter((f for f, _ in cycles), np.int64, n)
+    has_bonus = np.fromiter((b is not None for _, b in cycles), bool, n)
+    c = trace.columns
+    rows = first[:, None] + np.arange(k)  # (cycles, k) drafted records
+    top, draft = c.offsets[rows], c.draft[rows]  # top: each record's top-1 entry
+    exact = draft == c.tokens[top]
+    accept = exact
+    if policy.kind == "margin":
+        z1, z2 = c.logits[top], c.logits[top + 1]
+        with np.errstate(all="ignore"):  # a ratio is read only where z1 > 0; it may overflow
+            relaxed = (draft == c.tokens[top + 1]) & (z1 > 0) & (z2 / z1 > policy.theta)
+        accept = exact | relaxed
+    leading = np.logical_and.accumulate(accept, axis=1)  # the positions before a rejection
+    accepted = leading.sum(axis=1)
+    rejected = accepted < k
+    exact_count, accepted_count = int((leading & exact).sum()), int(accepted.sum())
+    rejected_count, bonus_count = int(rejected.sum()), int((has_bonus & ~rejected).sum())
+    labels = {Decision.EXACT: exact_count, Decision.RELAXED: accepted_count - exact_count,
+              Decision.REJECTED: rejected_count}
+    # a cycle commits its accepted drafts plus a correction or a bonus token
+    committed = accepted_count + rejected_count + bonus_count
+    return metrics_from_counts(n, committed, labels, bonus_count, k * n, cost, k)

@@ -6,6 +6,7 @@ this file, or an exact determinism claim.
 """
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -281,3 +282,27 @@ def test_criterion_9_decoupling_witness(tmp_path):
     report_10k = analyze_trace(TraceFile(trace.header, list(records)), theta=0.9)
     assert report_10k.relaxation_fraction == len(prob_ratios) / 10_000
     report(9, f"decoupling witness: {len(prob_ratios)} zone records, p2/p1 span {span:.1f}x")
+
+
+def test_criterion_9_decoupling_witness_off_the_orbit(tmp_path):
+    """The witness on a sampled-draft trace of the fixture model, which does
+    not fall into greedy drafting's periodic orbit: p2/p1 still spans > 10x
+    among r > 0.9 records."""
+    fixture_spec = Path(__file__).resolve().parent.parent / "scripts" / "decoupling_spec.json"
+    doc = json.loads(fixture_spec.read_text())
+    doc.update(draft_mode="sample", max_tokens=2000)
+    spec = tmp_path / "sampled.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["record", "--spec", str(spec), "--out", str(tmp_path / "sampled.trace")]) == 0
+    columns = read_trace(tmp_path / "sampled.trace").columns
+    v1, v2, z1, z2 = columns.top_two()
+    distinct = len(set(zip(v1.tolist(), v2.tolist(), z1.tolist(), z2.tolist())))
+    assert distinct > len(columns) // 4  # the greedy fixture has 80 of 10,520
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zone = (z1 > 0) & (z2 / z1 > 0.9)
+    prob_ratios = np.exp((z2 - z1)[zone] / columns.temp[zone])
+    assert zone.sum() > 100
+    span = prob_ratios.max() / prob_ratios.min()
+    assert span > 10.0
+    report(9, f"off-orbit witness: {zone.sum()} zone records, {distinct} distinct top-2 rows of "
+              f"{len(columns)}, p2/p1 span {span:.1f}x")

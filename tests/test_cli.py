@@ -194,6 +194,31 @@ class TestRecordReplay:
         assert "record 8: draft-less" in err
         assert "Traceback" not in err
 
+    def test_replay_theta_grid_rows_equal_single_theta_rows(self, tmp_path, capsys):
+        trace_path = tmp_path / "demo.trace"
+        assert main(["record", "--max-tokens", "300", "--seed", "5", "--out", str(trace_path)]) == 0
+        thetas = ["0.96", "0.84", "0.9"]  # rows come in grid order, not sorted
+        singles = []
+        for theta in thetas:
+            out = tmp_path / f"{theta}.csv"
+            assert main(["replay", str(trace_path), "--theta", theta, "--out", str(out)]) == 0
+            singles.append(out.read_text().splitlines())
+        capsys.readouterr()
+        assert main(["replay", str(trace_path), "--theta", ",".join(thetas)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [singles[0][0], *(lines[1] for lines in singles)]
+        rows = [read_rows(tmp_path / f"{theta}.csv")[0] for theta in thetas]
+        taus = ",".join(f"{float(row['tau']):.4f}" for row in rows)
+        assert captured.err == f"tau={taus} over {rows[0]['cycles']} cycles\n"
+
+    def test_replay_duplicate_theta_is_2(self, tmp_path, capsys):
+        trace_path = tmp_path / "demo.trace"
+        assert main(["record", "--max-tokens", "40", "--out", str(trace_path)]) == 0
+        out = tmp_path / "out.csv"
+        assert main(["replay", str(trace_path), "--theta", "0.9,0.8,0.9", "--out", str(out)]) == 2
+        assert "field 'theta': duplicate value 0.9" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_recorded_trace_is_valid_and_cycle_shaped(self, tmp_path):
         trace_path = tmp_path / "demo.trace"
         assert main(["record", "--max-tokens", "40", "--k", "5", "--out", str(trace_path)]) == 0
@@ -518,3 +543,53 @@ def test_mutated_traces_exit_0_or_2(recorded_trace, command, edits):
             assert second.header == first.header and second.records == first.records
             write_trace(second, again)
             assert again.read_bytes() == written
+
+
+# each flag's values: edge literals (nan, inf, -0, a subnormal, 2^63, a
+# duplicate grid, empty, negative) and a few ordinary ones, so that many
+# argv parse and reach the field checks
+BIG = str(2**63)
+EDGE_VALUES = {
+    "--theta": ["nan", "inf", "-0", "1e-320", BIG, "1,1", "", "-1", "1", "0.9", "0.5,1"],
+    "--k": ["nan", "-0", "0", BIG, "1,1", "", "-1", "1", "3", "7", "3,1"],
+    "--temperature": ["nan", "inf", "-0", "1e-320", BIG, "1,1", "", "-1", "1", "0.5,1"],
+    "--seed": ["nan", "-0", BIG, str(2**63 - 1), "1,1", "", "-1", "7"],
+    "--policy": ["nan", "strict", "margin"],
+    "--cost-ratio": ["nan", "inf", "-0", "1e-320", BIG, "1,1", "", "-1", "0.5"],
+    # always given, and 50 or below, so every run is short
+    "--max-tokens": ["nan", "-0", "0", "1,1", "-1", "1", "20", "50"],
+}
+GRID_FLAGS = ["--theta", "--k", "--temperature", "--seed", "--policy", "--cost-ratio"]
+ARGV_FLAGS = {
+    "run": GRID_FLAGS,
+    "sweep": GRID_FLAGS,
+    "record": GRID_FLAGS,
+    "replay": ["--policy", "--theta", "--k", "--cost-ratio"],
+    "analyze": ["--theta"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@given(command=st.sampled_from(sorted(ARGV_FLAGS)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_argv_edge_values_exit_with_a_documented_code(recorded_trace, command, data):
+    """Every subcommand, given edge values for its flags, exits 0, 1, 2 or 3;
+    no exception or warning escapes."""
+    flags = ARGV_FLAGS[command]
+    names = data.draw(st.sets(st.sampled_from(flags), max_size=min(3, len(flags))))
+    argv = [command]
+    with tempfile.TemporaryDirectory() as tmp:
+        if command in ("replay", "analyze"):
+            (Path(tmp) / "t.trace").write_bytes(recorded_trace)
+            argv.append(str(Path(tmp) / "t.trace"))
+        else:
+            names.add("--max-tokens")
+        for name in sorted(names):
+            argv += [name, data.draw(st.sampled_from(EDGE_VALUES[name]), label=name)]
+        argv += ["--out", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    event(f"{command} exit {code}")

@@ -6,6 +6,9 @@ every file it wrote, in name order. Paths are relative, so the bytes do not
 depend on where the test runs. A refactor that changes any CSV, trace,
 report or printed summary byte changes a digest here.
 
+`scripts/run_ablations.py --max-tokens 600` is pinned the same way, by the
+digest of each CSV it writes.
+
 Print the current digests (to refresh them after a deliberate output change):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import sys
 from pathlib import Path
 
@@ -117,6 +121,27 @@ GOLDEN = {
 }
 
 
+ABLATIONS = Path(__file__).resolve().parent.parent / "scripts" / "run_ablations.py"
+ABLATION_GOLDEN = {
+    "k_sweep.csv": "5db16d17b364c583e9814de5d53abe009d6a64b74fe040aba531c9e91cccab7d",
+    "temperature_sweep.csv": "fb253ea819905db3751dd78e32fbbd8d9f41718719699a7dca47a7b420776955",
+    "theta_sweep.csv": "0877e300ee79fa3dc73b1994bbab476377daf47af91e3f1c365b10ee21acdb11",
+}
+
+
+def ablation_digests(outdir: Path) -> dict[str, str]:
+    """Run `run_ablations.py --max-tokens 600` in-process; digest each CSV."""
+    argv = [str(ABLATIONS), "--max-tokens", "600", "--outdir", str(outdir)]
+    old = sys.argv
+    sys.argv = argv
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(ABLATIONS), run_name="__main__")
+    finally:
+        sys.argv = old
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(outdir.glob("*.csv"))}
+
+
 def case_digest(name: str, workdir: Path) -> str:
     """Run one case inside workdir and hash every byte it produced."""
     for fname, doc in SPECS.items():
@@ -146,9 +171,16 @@ def test_cli_output_digest(name, tmp_path):
     assert case_digest(name, tmp_path) == GOLDEN[name]
 
 
+def test_ablation_csv_digests(tmp_path):
+    assert ablation_digests(tmp_path) == ABLATION_GOLDEN
+
+
 if __name__ == "__main__":
     import tempfile
 
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as d:
             print(f'    "{case}": "{case_digest(case, Path(d))}",', file=sys.stdout)
+    with tempfile.TemporaryDirectory() as d:
+        for name, digest in ablation_digests(Path(d)).items():
+            print(f'    "{name}": "{digest}",', file=sys.stdout)

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specverify.engine import DecodeConfig, decode
+from specverify import trace as trace_module
+from specverify.engine import CostModel, DecodeConfig, decode, metrics_from_cycles
 from specverify.trace import (
     TraceFile,
     TraceFormatError,
@@ -221,6 +224,67 @@ class TestRecorder:
         rec(0, np.array([1.0, 2.0, 3.0]), None, hash_context([0]))
         assert len(rec.records[0].top_k) == 3
 
+    @pytest.mark.parametrize("size", [3, 63, 65])
+    def test_wrong_length_vector_names_the_record(self, size):
+        rec = TraceRecorder(vocab_size=64, temperature=1.0)
+        rec(0, np.zeros(64), 1, 0)
+        with pytest.raises(TraceFormatError, match=re.escape(f"record 2: logit vector of shape ({size},)")):
+            rec(1, np.zeros(size), None, 0)
+        assert len(rec.records) == 1  # the refused vector is not recorded
+
+    @given(
+        vocab=st.integers(2, 9),
+        top_k=st.integers(2, 10),
+        block=st.integers(1, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_block_columns_equal_per_record_lexsort(self, vocab, top_k, block, data):
+        """Ranking a block at a time gives the columns (or the first bad
+        record's message) of one lexsort per record, with records read
+        between calls and blocks of 1 to 4 records."""
+        vectors = data.draw(st.lists(
+            st.lists(st.sampled_from(RECORDER_LOGITS), min_size=vocab, max_size=vocab),
+            max_size=12,
+        ))
+        reads = set(data.draw(st.lists(st.integers(0, len(vectors)), max_size=3)))
+        with mock.patch.object(trace_module, "_BLOCK_FLOATS", block * vocab):
+            rec = TraceRecorder(vocab_size=vocab, temperature=0.5, top_k=top_k)
+        for i, z in enumerate([*vectors, None]):
+            if i in reads or z is None:
+                assert recorder_outcome(rec) == lexsort_outcome(vectors[:i], vocab, top_k)
+            if z is not None:
+                rec(i, np.array(z), i % 3 or None, 7 * i)
+
+
+# logits with ties, both zeros and every non-finite value
+RECORDER_LOGITS = [0.0, -0.0, 1.5, 1.5, -2.0, 1e300, 5e-324, np.inf, -np.inf, np.nan]
+
+
+def column_bits(columns):
+    names = ("step", "ctx", "has_ctx", "temp", "draft", "offsets", "tokens", "logits")
+    return [getattr(columns, name).tobytes() for name in names]
+
+
+def recorder_outcome(rec):
+    try:
+        return column_bits(rec.to_trace().columns)
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+def lexsort_outcome(vectors, vocab, top_k):
+    """The columns of one lexsort per vector, or the first bad record's message."""
+    records = []
+    for i, z in enumerate(np.array(v, dtype=np.float64) for v in vectors):
+        order = np.lexsort((np.arange(z.size), -z))[: min(top_k, vocab)]
+        entries = tuple(zip(order.tolist(), z[order].tolist()))
+        records.append(TraceRecord(i, entries, 0.5, i % 3 or None, 7 * i))
+    try:
+        return column_bits(TraceFile(TraceHeader(vocab), records).columns)
+    except TraceFormatError as exc:
+        return str(exc)
+
 
 class TestReplay:
     def test_cycle_grouping(self):
@@ -320,6 +384,75 @@ class TestReplay:
         accepted = lambda m: m.exact_count + m.relaxed_count
         assert accepted(loose) >= accepted(tight) >= accepted(strict)
         assert strict.relaxed_count == 0
+
+
+# top-k logits: ratios 0.9 and 0.75, z1 of 0, -0 and below 0, ties, and
+# 5e-324 over -1e300, whose ratio overflows to -inf
+REPLAY_LOGITS = [10.0, 9.0, 7.5, 1.0, 0.9, 0.0, -0.0, 5e-324, -1.0, -1e300]
+NON_POSITIVE = [0.0, -0.0, -1.0, -1e300]  # z1 <= 0, where z2/z1 may still exceed theta
+REPLAY_VOCAB = 6
+
+
+@st.composite
+def replay_traces(draw):
+    """(records, k): complete cycles of k drafted records, each followed by a
+    bonus record or, in another trace, by none, then a partial cycle; or, in
+    a third, drafts and draft-less records in any order. Drafts hit the
+    top-1, the top-2 or neither."""
+    k = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["bonus", "no bonus", "any"]))
+    cycles = draw(st.integers(0, 5))
+    if shape == "any":
+        drafted = draw(st.lists(st.booleans(), max_size=4 * (k + 1)))
+    else:
+        drafted = ([True] * k + [False] * (shape == "bonus")) * cycles
+        drafted += [True] * draw(st.integers(0, k))
+    records = []
+    for step, has_draft in enumerate(drafted):
+        width = draw(st.integers(2, REPLAY_VOCAB))
+        tokens = draw(st.permutations(range(REPLAY_VOCAB)))[:width]
+        pool = draw(st.sampled_from([REPLAY_LOGITS, NON_POSITIVE]))
+        logits = draw(st.lists(st.sampled_from(pool), min_size=width, max_size=width))
+        top_k = tuple(sorted(zip(tokens, logits), key=lambda e: (-e[1], e[0])))
+        draft = None
+        if has_draft:
+            pick = draw(st.integers(0, REPLAY_VOCAB + 1))
+            draft = top_k[pick][0] if pick < 2 else pick - 2
+        records.append(make_record(step=step, top_k=top_k, draft=draft))
+    return records, k
+
+
+def replay_outcome(replay):
+    try:
+        return replay()
+    except ValueError as exc:  # TraceFormatError included
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@given(
+    case=replay_traces(),
+    policy=st.sampled_from(["strict", "margin"]),
+    theta=st.one_of(st.sampled_from([0.5, 0.75, 0.9, 1.0, 5e-324]), st.floats(0.01, 1.0)),
+    cost_ratio=st.sampled_from([0.0, 0.05, 0.5]),
+)
+@settings(max_examples=400, deadline=None)
+def test_array_replay_equals_the_per_cycle_tally(case, policy, theta, cost_ratio):
+    """replay_verify's array pass returns the metrics that tallying
+    replay_cycles' per-cycle decisions does, or raises the same error."""
+    records, k = case
+    trace = TraceFile(TraceHeader(REPLAY_VOCAB, ""), records)
+    rule, cost = VerificationPolicy.from_name(policy, theta), CostModel(c_draft=cost_ratio)
+
+    def per_cycle():
+        results = replay_cycles(trace, rule, k)
+        committed = sum(len(result.committed_tokens) for result in results)
+        return metrics_from_cycles(results, committed, k * len(results), cost, k)
+
+    array, expected = replay_outcome(lambda: replay_verify(trace, rule, k, cost)), replay_outcome(per_cycle)
+    assert array == expected
+    if not isinstance(array, tuple):  # the same Python types, so the CSV bytes match too
+        assert list(map(type, dataclasses.astuple(array))) == list(map(type, dataclasses.astuple(expected)))
 
 
 class TestStreamedContextHash:
