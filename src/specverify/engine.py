@@ -23,8 +23,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import verify
-from .models import ScoringModel, build_draft_tree, check_tree_size, draft_chain, pack_tokens
-from .verify import CycleResult, Decision, VerificationPolicy, top_two_reader, verify_tree
+from .models import (
+    ScoringModel, build_draft_tree, check_tree_size, draft_chain, pack_tokens, window_reader,
+)
+from .verify import CycleResult, Decision, VerificationPolicy, verify_tree
 from .verify import verify_chain  # noqa: F401  (perfbench traces engine.verify_chain)
 
 DEFAULT_COST_RATIO = 0.05
@@ -138,10 +140,13 @@ def greedy_decode(target: ScoringModel, prompt: Sequence[int], n_tokens: int) ->
     check_prompt(prompt, target.vocab_size)
     if n_tokens < 1:
         raise ValueError("n_tokens must be >= 1")
-    ctx = list(prompt)
+    reader = window_reader(target)
+    w, out = reader.fold(prompt), []
     for _ in range(n_tokens):
-        ctx.append(int(target.score(ctx[-target.order :]).argmax()))
-    return ctx[len(prompt) :]
+        tok = int(reader.logits_at(w).argmax())
+        out.append(tok)
+        w = reader.step(w, tok)
+    return out
 
 
 def metrics_from_cycles(
@@ -202,7 +207,8 @@ def decode(
         raise ValueError("field 'mode': trace recording requires chain mode")
 
     window = max(target.order, draft.order)
-    target_top_two = top_two_reader(target)
+    reader = window_reader(target)
+    step, top_two_at = reader.step, reader.top_two_at
     ctx = list(prompt)
     hasher = context_hasher(ctx) if recorder is not None else None
     gen = np.random.default_rng(config.seed)
@@ -222,14 +228,18 @@ def decode(
             drafted = draft_chain(
                 draft, tail, config.k, config.temperature, config.draft_mode, gen
             )
-            n, seq = len(tail), tail + drafted
-            contexts = [seq[max(0, n + i - window) : n + i] for i in range(config.k + 1)]
-            tops = [target_top_two(c) for c in contexts]
+            # the target's window ids at the K+1 positions: the tail, then each draft
+            w = reader.fold(tail)
+            ids = [w]
+            for tok in drafted:
+                w = step(w, tok)
+                ids.append(w)
+            tops = [top_two_at(w) for w in ids]
             if recorder is not None:
                 prefix = hasher.copy()
-                for i, c in enumerate(contexts):
+                for i, w in enumerate(ids):
                     chosen = drafted[i] if i < config.k else None
-                    recorder(position + i, target.score(c), chosen, hash_value(prefix))
+                    recorder(position + i, reader.logits_at(w), chosen, hash_value(prefix))
                     prefix.update(pack_tokens(drafted[i : i + 1]))
             # through the module, so a wrapper on verify.verify_top_two_chain sees live cycles
             result = verify.verify_top_two_chain(

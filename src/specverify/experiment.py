@@ -88,6 +88,8 @@ class ExperimentSpec:
             raise ValueError("field 'repetitions': must be >= 1")
         if not 0 <= self.cost_ratio < np.inf:
             raise ValueError(f"field 'cost_ratio': {self.cost_ratio} must be finite and >= 0")
+        # -0.0 passes the check; written as 0.0, its CSV is the one 0 gives
+        object.__setattr__(self, "cost_ratio", abs(self.cost_ratio))
         vocab = self.target.vocab_size
         if self.stop_token is not None and not 0 <= self.stop_token < vocab:
             raise ValueError(f"field 'stop_token': {self.stop_token} not in [0, {vocab})")
@@ -151,13 +153,47 @@ def spec_from_dict(doc: dict, base: ExperimentSpec | None = None) -> ExperimentS
     return _replace_from_dict(base or ExperimentSpec(), doc, "")
 
 
+class _RepeatedKeys(dict):
+    """A JSON object that names `key` more than once (the last value is kept)."""
+
+    key: str
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) == len(pairs):
+        return doc
+    seen: set[str] = set()
+    for key, _ in pairs:
+        if key in seen:
+            break
+        seen.add(key)
+    doc = _RepeatedKeys(doc)
+    doc.key = key
+    return doc
+
+
+def _check_unique_keys(doc: dict) -> None:
+    """Raise for the first object, at any depth, that repeats a key, naming its path."""
+    stack: list[tuple[str, object]] = [("", doc)]
+    while stack:
+        prefix, value = stack.pop()
+        if isinstance(value, _RepeatedKeys):
+            raise ValueError(f"field '{prefix}{value.key}': duplicate key")
+        if isinstance(value, dict):
+            stack += [(f"{prefix}{key}.", item) for key, item in reversed(value.items())]
+        elif isinstance(value, list):
+            stack += [(prefix, item) for item in reversed(value)]
+
+
 def spec_from_file(path: str | Path) -> ExperimentSpec:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ValueError(f"spec file {path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"spec file {path}: top level must be a JSON object")
+    _check_unique_keys(doc)
     return spec_from_dict(doc)
 
 
@@ -217,7 +253,8 @@ def run_point(
 
 def sweep_rows(spec: ExperimentSpec) -> list[dict]:
     """All grid rows in lexicographic (theta, k, temperature, repetition) order;
-    the points share one model pair, so a window is scored once per sweep."""
+    the points share one model pair, so a window is scored once per sweep while
+    the memo holds it."""
     grid = product(spec.theta, spec.k, spec.temperature, range(spec.repetitions))
     models = spec_models(spec)
     return [run_point(spec, *point, models) for point in grid]

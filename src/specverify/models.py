@@ -12,23 +12,28 @@ logits; sigma = 0 reproduces the target exactly and larger sigma degrades
 alignment monotonically. Everything is a pure function of declared seeds.
 
 Since a score depends only on the last m tokens, each model instance memoises
-its logit vectors by window, up to MEMO_FLOATS floats; windows beyond that are
-computed without being stored. An entry also keeps the window's top-2 and its
-sampling CDF at the last temperature, each derived on first use. Returned
-arrays are read-only, so a caller's in-place edit raises instead.
+its logit vectors by window. The memo is keyed by an integer window id, which
+the decode loops carry from token to token (see _WindowIds), and holds at most
+MEMO_FLOATS floats: an entry counts its logits and a sampling CDF, 2V floats.
+When it is full, the oldest entry is evicted to make room. An entry also keeps
+the window's top-2 and its sampling CDF at the last temperature, each derived
+on first use. A miss rebuilds the token window from its id, so every logit is
+the one the window's seed gives. Returned arrays are read-only, so a caller's
+in-place edit raises instead.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .logits import TopTwo, softmax, top_two
-from .verify import TreeNode
 
 DEFAULT_VOCAB_SIZE = 64
 DEFAULT_ORDER = 2
@@ -36,9 +41,9 @@ DEFAULT_LOGIT_OFFSET = 0.5
 DEFAULT_LOGIT_SPREAD = 2.0
 DEFAULT_NOISE_SCALE = 0.5
 MAX_TREE_LEAVES = 200_000
-# Logit floats each model instance memoises (8 bytes each, about 1 MiB):
-# 2048 windows at the default vocabulary of 64.
-MEMO_FLOATS = 2**17
+# Floats each model instance memoises, logits and CDFs (8 bytes each, 4 MiB):
+# 4096 windows at the default vocabulary of 64, every full window at order 2.
+MEMO_FLOATS = 2**19
 
 _TARGET_SALT = 0x54474554  # "TGET"
 _DRAFT_SALT = 0x44524654  # "DRFT"
@@ -54,6 +59,14 @@ class ScoringModel(Protocol):
     def order(self) -> int: ...
 
     def score(self, context: Sequence[int]) -> np.ndarray: ...
+
+
+@dataclass(frozen=True)
+class TreeNode:
+    """One drafted token and its child alternatives for the next position."""
+
+    token: int
+    children: tuple["TreeNode", ...] = field(default=())
 
 
 def check_seed(name: str, seed: int) -> None:
@@ -142,40 +155,121 @@ def softmax_cdf(z: np.ndarray, temperature: float) -> np.ndarray:
     return cdf
 
 
-class _MemoisedModel:
-    """The window memo of a model whose subclass keeps a `_memo` dict and computes
-    `_window_logits(window)`. An entry is [logits, TopTwo or None, temperature, CDF or None]."""
+class _WindowIds:
+    """Integer ids of the windows of a model with `vocab_size` V and `order` m.
 
-    def _entry(self, window: tuple[int, ...]) -> list:
-        entry = self._memo.get(window)
-        if entry is None:
-            z = self._window_logits(window)
-            z.flags.writeable = False
-            entry = [z, None, None, None]
-            if (len(self._memo) + 1) * z.size <= MEMO_FLOATS:
-                self._memo[window] = entry
+    The window (t_1, ..., t_n), n <= m, has the base-(V+1) digits t_1 + 1, ...,
+    t_n + 1. Digits run from 1 to V, so a window shorter than m never shares an
+    id with a longer one, and the empty window is 0. The loops that walk a
+    context carry the id along with `step` instead of slicing token lists.
+    """
+
+    def _init_ids(self) -> None:
+        self._base = self.vocab_size + 1
+        self._modulus = self._base**self.order
+
+    def step(self, w: int, tok: int) -> int:
+        """The id of window w with tok appended; a window of m tokens drops its oldest."""
+        return (w * self._base + tok + 1) % self._modulus
+
+    def fold(self, tokens: Sequence[int]) -> int:
+        """The id of the last `order` tokens, which must be in the vocabulary."""
+        w = 0
+        for tok in tokens[-self.order :]:
+            w = w * self._base + operator.index(tok) + 1  # a float token raises
+        return w
+
+    def window_id(self, context: Sequence[int]) -> int:
+        """The id of the context's window, after checking the whole context."""
+        _check_context(context, self.vocab_size)
+        return self.fold(context)
+
+    def window(self, w: int) -> tuple[int, ...]:
+        """The token window of an id."""
+        tokens = []
+        while w:
+            w, digit = divmod(w, self._base)
+            tokens.append(digit - 1)
+        return tuple(reversed(tokens))
+
+
+class _MemoisedModel(_WindowIds):
+    """The window memo of a model whose subclass keeps a `_memo` and computes
+    `_window_logits(w)`. An entry is [logits, TopTwo or None, temperature, CDF or None]."""
+
+    def _miss(self, w: int) -> list:
+        z = self._window_logits(w)
+        z.flags.writeable = False
+        entry = [z, None, None, None]
+        memo = self._memo
+        cap = MEMO_FLOATS // (2 * z.size)  # an entry's logits and CDF
+        if cap:
+            if len(memo) >= cap:
+                # first in, first out, so a hit costs nothing; an OrderedDict drops
+                # its oldest entry in O(1), where a dict would scan its deleted slots
+                memo.popitem(last=False)
+            memo[w] = entry
         return entry
 
-    def _context_entry(self, context: Sequence[int]) -> list:
-        _check_context(context, self.vocab_size)
-        return self._entry(tuple(context[-self.order :]))
+    def logits_at(self, w: int) -> np.ndarray:
+        return (self._memo.get(w) or self._miss(w))[0]
 
-    def score(self, context: Sequence[int]) -> np.ndarray:
-        return self._context_entry(context)[0]
-
-    def top_two(self, context: Sequence[int]) -> TopTwo:
-        """top_two(self.score(context)), derived once per memoised window."""
-        entry = self._context_entry(context)
+    def top_two_at(self, w: int) -> TopTwo:
+        entry = self._memo.get(w) or self._miss(w)
         if entry[1] is None:
             entry[1] = top_two(entry[0])
         return entry[1]
 
-    def sample_cdf(self, context: Sequence[int], temperature: float) -> np.ndarray:
-        """softmax_cdf(self.score(context), temperature); a new temperature replaces it."""
-        entry = self._context_entry(context)
+    def cdf_at(self, w: int, temperature: float) -> np.ndarray:
+        entry = self._memo.get(w) or self._miss(w)
         if entry[2] != temperature:
             entry[2:] = temperature, softmax_cdf(entry[0], temperature)
         return entry[3]
+
+    def score(self, context: Sequence[int]) -> np.ndarray:
+        return self.logits_at(self.window_id(context))
+
+    def top_two(self, context: Sequence[int]) -> TopTwo:
+        """top_two(self.score(context)), derived once per memoised window."""
+        return self.top_two_at(self.window_id(context))
+
+    def sample_cdf(self, context: Sequence[int], temperature: float) -> np.ndarray:
+        """softmax_cdf(self.score(context), temperature); a new temperature replaces it."""
+        return self.cdf_at(self.window_id(context), temperature)
+
+
+class _ScoreOnly(_WindowIds):
+    """Id-keyed reads of a model that only has `score`, uncached: each read scores
+    the window rebuilt from its id. The first read after `window_id(context)`
+    scores that whole context, so the model sees what it was given."""
+
+    def __init__(self, model: ScoringModel):
+        self.model, self.vocab_size, self.order = model, model.vocab_size, model.order
+        self._init_ids()
+        self._opened: tuple[int, Sequence[int]] | None = None
+
+    def window_id(self, context: Sequence[int]) -> int:
+        w = super().window_id(context)
+        self._opened = (w, context)
+        return w
+
+    def logits_at(self, w: int) -> np.ndarray:
+        opened, self._opened = self._opened, None
+        if opened is not None and opened[0] == w:
+            return self.model.score(list(opened[1]))
+        return self.model.score(list(self.window(w)))
+
+    def top_two_at(self, w: int) -> TopTwo:
+        return top_two(self.logits_at(w))
+
+    def cdf_at(self, w: int, temperature: float) -> np.ndarray:
+        return softmax_cdf(self.logits_at(w), temperature)
+
+
+def window_reader(model: ScoringModel) -> _WindowIds:
+    """Id-keyed reads (`logits_at`, `top_two_at`, `cdf_at`) of any scoring model:
+    a synthetic model's own memo, or an uncached adapter around `score`."""
+    return model if isinstance(model, _MemoisedModel) else _ScoreOnly(model)
 
 
 class SyntheticTargetModel(_MemoisedModel):
@@ -183,7 +277,8 @@ class SyntheticTargetModel(_MemoisedModel):
 
     def __init__(self, config: SyntheticTargetConfig):
         self.config = config
-        self._memo: dict[tuple[int, ...], list] = {}
+        self._memo: OrderedDict[int, list] = OrderedDict()
+        self._init_ids()
 
     @property
     def vocab_size(self) -> int:
@@ -193,9 +288,9 @@ class SyntheticTargetModel(_MemoisedModel):
     def order(self) -> int:
         return self.config.order
 
-    def _window_logits(self, window: tuple[int, ...]) -> np.ndarray:
+    def _window_logits(self, w: int) -> np.ndarray:
         cfg = self.config
-        rng = window_rng(cfg.seed, window, _TARGET_SALT)
+        rng = window_rng(cfg.seed, self.window(w), _TARGET_SALT)
         u = np.maximum(rng.random(cfg.vocab_size), 1e-12)
         gumbel = -np.log(-np.log(u))
         return cfg.logit_offset + cfg.logit_spread * gumbel
@@ -207,7 +302,8 @@ class PerturbedDraftModel(_MemoisedModel):
     def __init__(self, target: SyntheticTargetModel, config: PerturbedDraftConfig):
         self.target = target
         self.config = config
-        self._memo: dict[tuple[int, ...], list] = {}
+        self._memo: OrderedDict[int, list] = OrderedDict()
+        self._init_ids()
 
     @property
     def vocab_size(self) -> int:
@@ -217,11 +313,11 @@ class PerturbedDraftModel(_MemoisedModel):
     def order(self) -> int:
         return self.target.order
 
-    def _window_logits(self, window: tuple[int, ...]) -> np.ndarray:
-        z = self.target._entry(window)[0]
+    def _window_logits(self, w: int) -> np.ndarray:
+        z = self.target.logits_at(w)  # the draft shares the target's windows, so their ids
         if self.config.noise_scale == 0:
             return z
-        rng = window_rng(self.config.noise_seed, window, _DRAFT_SALT)
+        rng = window_rng(self.config.noise_seed, self.window(w), _DRAFT_SALT)
         return z + self.config.noise_scale * rng.standard_normal(self.vocab_size)
 
 
@@ -265,28 +361,35 @@ def draft_chain(
 
     mode "greedy" takes the argmax at each step; mode "sample" draws from
     softmax(logits, temperature) using the given seed or generator, fully
-    reproducibly. The whole context is scored once; after that only the
-    model's last `order` tokens are kept, so a chain costs time linear in k.
+    reproducibly. The whole context is checked once; after that each step
+    reads its window by id, so a chain costs time linear in k.
     """
     if k < 1:
         raise ValueError(f"draft length k must be >= 1, got {k}")
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown draft mode {mode!r}")
-    if mode == "sample":
-        gen = np.random.default_rng(rng)
-        # a model that only scores gets the same CDF, derived from its score
-        cdf = getattr(model, "sample_cdf", None) or (lambda c, t: softmax_cdf(model.score(c), t))
-    ctx = list(context)
+    reader = window_reader(model)
+    w, step = reader.window_id(context), reader.step
+    if mode == "greedy":
+        logits_at = reader.logits_at
+
+        def pick(w: int) -> int:
+            return int(logits_at(w).argmax())
+
+    else:
+        cdf_at = reader.cdf_at
+        # one call gives the doubles, and the generator state, of k scalar draws
+        draws = iter(np.random.default_rng(rng).random(k).tolist())
+
+        def pick(w: int) -> int:
+            # Generator.choice(p.size, p=p)'s own draw, without re-checking p
+            return int(cdf_at(w, temperature).searchsorted(next(draws), side="right"))
+
     out: list[int] = []
     for _ in range(k):
-        if mode == "greedy":
-            tok = int(model.score(ctx).argmax())
-        else:
-            # Generator.choice(p.size, p=p)'s own draw, without re-checking p
-            tok = int(cdf(ctx, temperature).searchsorted(gen.random(), side="right"))
+        tok = pick(w)
         out.append(tok)
-        ctx.append(tok)
-        del ctx[: -model.order]
+        w = step(w, tok)
     return out
 
 
@@ -301,8 +404,8 @@ def build_draft_tree(
     Children at each node are the top-`branching` tokens (logit-descending,
     ties by smallest id), so the first-child path is the greedy chain. The
     tree is built level by level without recursion, and below the root each
-    scored context is only the model's last `order` tokens, so a deep
-    branching-1 tree costs time linear in its depth.
+    node's window is read by id, so a deep branching-1 tree costs time linear
+    in its depth.
     """
     if branching < 1:
         raise ValueError("branching must be >= 1")
@@ -311,17 +414,18 @@ def build_draft_tree(
     check_tree_size(branching, depth)
     # a node has one child per token, so there are at most vocab_size of them
     width = min(branching, model.vocab_size)
+    reader = window_reader(model)
 
-    def candidates(ctx: list[int]) -> list[int]:
-        z = model.score(ctx)
+    def candidates(w: int) -> list[int]:
+        z = reader.logits_at(w)
         return [int(tok) for tok in np.lexsort((np.arange(z.size), -z))[:width]]
 
-    # each level's (parent context, token) pairs, breadth-first in parent order
-    root = list(context)
+    # each level's (parent window id, token) pairs, breadth-first in parent order
+    root = reader.window_id(context)
     levels = [[(root, tok) for tok in candidates(root)]]
     while len(levels) < depth:
-        contexts = [(ctx + [tok])[-model.order :] for ctx, tok in levels[-1]]
-        levels.append([(ctx, tok) for ctx in contexts for tok in candidates(ctx)])
+        ids = [reader.step(w, tok) for w, tok in levels[-1]]
+        levels.append([(w, tok) for w in ids for tok in candidates(w)])
     nodes = [TreeNode(tok) for _, tok in levels.pop()]
     for level in reversed(levels):
         nodes = [

@@ -21,13 +21,14 @@ followed, else the first relaxed child, else the first child is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .logits import TopTwo, adaptive_margin_check, top_two
+from .models import TreeNode, window_reader
 
 DEFAULT_THETA = 0.9
 
@@ -105,11 +106,6 @@ def decide_position(top: TopTwo, draft_token: int, policy: VerificationPolicy) -
     return PositionDecision(Decision.REJECTED, draft_token, top.v1, top.ratio)
 
 
-def top_two_reader(model):
-    """`model.top_two`, or for a model that only scores, top_two of its score."""
-    return getattr(model, "top_two", None) or (lambda context: top_two(model.score(context)))
-
-
 def verify_top_two_chain(
     draft: Sequence[int],
     top_twos: Sequence[TopTwo],
@@ -153,14 +149,6 @@ def verify_chain(
     return verify_top_two_chain(draft, tops, policy, bonus_top1)
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """One drafted token and its child alternatives for the next position."""
-
-    token: int
-    children: tuple["TreeNode", ...] = field(default=())
-
-
 def chain_to_tree(tokens: Sequence[int]) -> list[TreeNode]:
     """Embed a drafted chain as a branching-1 token tree."""
     roots: list[TreeNode] = []
@@ -198,18 +186,18 @@ def verify_tree(
     child is followed, else the first relaxed child. When no child qualifies
     the first child is rejected and the target top-1 is committed as
     correction; exhausting a path appends a bonus token. Result shape matches
-    verify_chain. The whole context is scored once; after that only the
-    scorer's last `order` tokens are kept, so the walk is linear in depth.
+    verify_chain. The whole context is checked once; after that each depth's
+    window is read by id, so the walk is linear in depth.
     """
     if not roots:
         raise ValueError("cannot verify an empty tree")
     _validate_tree(roots, target_scorer.vocab_size)
-    target_top_two = top_two_reader(target_scorer)
-    ctx = list(context)
+    reader = window_reader(target_scorer)
+    w = reader.window_id(context)
     children: Sequence[TreeNode] = roots
     decisions: list[PositionDecision] = []
     while children:
-        top = target_top_two(ctx)
+        top = reader.top_two_at(w)
         decision, chosen = min(
             ((decide_position(top, child.token, policy), child) for child in children),
             key=lambda pair: _PREFERENCE[pair[0].label],
@@ -217,6 +205,6 @@ def verify_tree(
         decisions.append(decision)
         if decision.label is Decision.REJECTED:
             return CycleResult(tuple(decisions), None)
-        ctx = (ctx + [chosen.token])[-target_scorer.order :]
+        w = reader.step(w, chosen.token)
         children = chosen.children
-    return CycleResult(tuple(decisions), target_top_two(ctx).v1)
+    return CycleResult(tuple(decisions), reader.top_two_at(w).v1)

@@ -372,6 +372,46 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "record"])
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ('{"max_tokens": 16, "k": 3, "max_tokens": 20}', "max_tokens"),
+            ('{"target": {"seed": 1, "seed": 2}}', "target.seed"),
+            ('{"draft": {}, "target": {"order": 2, "seed": 5, "order": 2}}', "target.order"),
+            ('{"theta": [{"a": 1, "a": 2}]}', "theta.a"),
+        ],
+        ids=["top", "nested", "nested_equal_values", "in_a_list"],
+    )
+    def test_duplicate_spec_key_is_2_and_named(self, command, text, name, tmp_path, capsys):
+        (tmp_path / "dup.json").write_text(text)
+        argv = [command, "--spec", str(tmp_path / "dup.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"field '{name}': duplicate key" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    def test_negative_zero_cost_ratio_writes_the_csv_of_zero(self, command, tmp_path, capsys):
+        argv = [command, "--max-tokens", "20"]
+        if command == "replay":
+            trace = tmp_path / "t.trace"
+            assert main(["record", "--max-tokens", "16", "--out", str(trace)]) == 0
+            argv = [command, str(trace)]
+        for name, value in (("zero.csv", "0"), ("negative_zero.csv", "-0")):
+            assert main([*argv, "--cost-ratio", value, "--out", str(tmp_path / name)]) == 0
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"cost_ratio": -0.0, "max_tokens": 20}')
+        if command == "run":
+            assert main([*argv, "--spec", str(spec), "--out", str(tmp_path / "spec.csv")]) == 0
+        capsys.readouterr()
+        zero = (tmp_path / "zero.csv").read_bytes()
+        assert b"-0.0" not in zero
+        assert (tmp_path / "negative_zero.csv").read_bytes() == zero
+        if command == "run":
+            assert (tmp_path / "spec.csv").read_bytes() == zero
+
     def test_deep_branching_one_tree_runs(self, tmp_path, capsys):
         spec = tmp_path / "deep.json"
         spec.write_text(json.dumps({"mode": "tree", "tree_top_k": 1, "k": 5000, "max_tokens": 20}))

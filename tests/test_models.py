@@ -20,6 +20,7 @@ from specverify.models import (
     check_tree_size,
     draft_chain,
     softmax_cdf,
+    window_reader,
 )
 from specverify.verify import TreeNode, VerificationPolicy
 
@@ -323,7 +324,8 @@ class TestLogitMemo:
         """top_two and sample_cdf equal what a score-only model derives from its
         score, for repeated windows behind new histories and a changing temperature."""
         if memo_windows is not None:
-            monkeypatch.setattr(models, "MEMO_FLOATS", memo_windows * target_cfg.vocab_size)
+            # an entry counts its logits and its CDF: 2V floats
+            monkeypatch.setattr(models, "MEMO_FLOATS", memo_windows * 2 * target_cfg.vocab_size)
         target = SyntheticTargetModel(target_cfg)
         draft = PerturbedDraftModel(target, draft_cfg)
         fresh_target, fresh_draft = fresh_pair(target_cfg, draft_cfg)
@@ -359,7 +361,7 @@ class TestLogitMemo:
             reads = (model.score, model.top_two, lambda c: model.sample_cdf(c, 0.7))
             for read in reads:
                 read([1, 2])
-            assert (1, 2) in model._memo
+            assert 2 * 65 + 3 in model._memo  # the id of [1, 2]: base-65 digits 1+1, 2+1
             for bad, read in product(([99, 1, 2], [-1, 1, 2]), reads):
                 with pytest.raises(ValueError, match="out of vocabulary"):
                     read(bad)
@@ -378,7 +380,7 @@ class TestLogitMemo:
         assert np.array_equal(target.score([4, 5]), make_pair()[0].score([4, 5]))
 
     def test_memo_stops_growing_at_its_cap(self, monkeypatch):
-        monkeypatch.setattr(models, "MEMO_FLOATS", 5 * 64)
+        monkeypatch.setattr(models, "MEMO_FLOATS", 5 * 2 * 64)  # 5 windows of 2V floats
         target, draft = make_pair()
         fresh_target, fresh_draft = fresh_pair(target.config, draft.config)
         for ctx in random_contexts(5, 40):
@@ -390,10 +392,115 @@ class TestLogitMemo:
         assert len(draft._memo) == 5
 
 
+def walk_ids(reader, tokens):
+    """(context, window id) for every prefix of tokens, the empty one first,
+    each id carried from the previous one as the decode loops carry it."""
+    w = 0
+    yield [], w
+    for i, tok in enumerate(tokens):
+        w = reader.step(w, tok)
+        yield tokens[: i + 1], w
+
+
+class TestWindowIds:
+    @given(
+        vocab=st.sampled_from([2, 3, 7, 64]),
+        order=st.integers(1, 3),
+        seeds=st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)),
+        noise_scale=st.sampled_from([0.0, 0.5]),
+        temperature=st.sampled_from([0.7, 1.0, 1.3]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ids_read_what_contexts_read(self, vocab, order, seeds, noise_scale, temperature, data):
+        """Reading score, top_two and sample_cdf by a carried id equals the public
+        context path, for contexts shorter than, as long as and longer than order,
+        for the memoised models and for a model that only scores."""
+        target_cfg = SyntheticTargetConfig(seed=seeds[0], vocab_size=vocab, order=order)
+        draft_cfg = PerturbedDraftConfig(noise_seed=seeds[1], noise_scale=noise_scale)
+        tokens = data.draw(st.lists(st.integers(0, vocab - 1), max_size=2 * order + 2))
+        target = SyntheticTargetModel(target_cfg)
+        draft = PerturbedDraftModel(target, draft_cfg)
+        fresh_target, fresh_draft = make_pair(*seeds, noise_scale, vocab_size=vocab, order=order)
+        score_only = window_reader(FreshModel(lambda: SyntheticTargetModel(target_cfg)))
+        readers = ((target, fresh_target), (draft, fresh_draft), (score_only, fresh_target))
+        for reader, fresh in readers:
+            seen = {}
+            for ctx, w in walk_ids(reader, tokens):
+                window = tuple(ctx[-order:])
+                # the tokens plus one are the id's base-(V+1) digits
+                assert w == sum((t + 1) * (vocab + 1) ** i for i, t in enumerate(reversed(window)))
+                assert w == reader.window_id(ctx) == reader.fold(ctx)
+                assert reader.window(w) == window
+                assert seen.setdefault(w, window) == window  # distinct windows, distinct ids
+                assert np.array_equal(reader.logits_at(w), fresh.score(ctx))
+                assert reader.top_two_at(w) == fresh.top_two(ctx)
+                cdf = reader.cdf_at(w, temperature)
+                assert np.array_equal(cdf, fresh.sample_cdf(ctx, temperature))
+
+    def test_a_float_token_in_the_window_raises(self, target):
+        target.score([1, 2])
+        for ctx in ([1.5, 2], [1.0, 2]):  # a miss and, as an integer, a hit
+            with pytest.raises(TypeError, match="integer"):
+                target.score(ctx)
+
+    @pytest.mark.parametrize("target_cfg, draft_cfg", MEMO_CONFIGS)
+    def test_evicting_memo_reads_what_an_uncapped_pair_reads(
+        self, monkeypatch, target_cfg, draft_cfg
+    ):
+        """Under a cap of 3 windows every miss evicts, and every row equals an
+        uncapped pair's; an evicted window, asked again, reads as it first did."""
+
+        def rows(target, draft):
+            prompt = [1, 2, 0]
+            policy = VerificationPolicy.margin_aware(0.9)
+            configs = [
+                DecodeConfig(policy, max_tokens=120),
+                DecodeConfig(policy, max_tokens=120, draft_mode="sample", temperature=0.7, seed=5),
+                DecodeConfig(policy, max_tokens=120, mode="tree", tree_top_k=2, k=4),
+            ]
+            return (
+                [decode(target, draft, config, prompt) for config in configs],
+                greedy_decode(target, prompt, 120),
+                draft_chain(draft, prompt, 40),
+                draft_chain(draft, prompt, 40, 0.7, "sample", 9),
+                build_draft_tree(draft, prompt, 2, 5),
+            )
+
+        uncapped = SyntheticTargetModel(target_cfg)
+        expected = rows(uncapped, PerturbedDraftModel(uncapped, draft_cfg))
+        cap = 3
+        monkeypatch.setattr(models, "MEMO_FLOATS", cap * 2 * target_cfg.vocab_size)
+        target = SyntheticTargetModel(target_cfg)
+        draft = PerturbedDraftModel(target, draft_cfg)
+        first = [
+            (model, model.score([0]), model.top_two([0]), model.sample_cdf([0], 0.7))
+            for model in (target, draft)
+        ]
+        assert rows(target, draft) == expected
+        for model, z, top, cdf in first:
+            assert len(model._memo) == cap
+            assert model.window_id([0]) not in model._memo
+            assert np.array_equal(model.score([0]), z)
+            assert model.top_two([0]) == top
+            assert np.array_equal(model.sample_cdf([0], 0.7), cdf)
+            assert len(model._memo) == cap
+
+
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 64))
+@settings(max_examples=200, deadline=None)
+def test_one_batched_draw_equals_k_scalar_draws(seed, k):
+    """draft_chain draws a cycle's k uniforms at once: the same doubles, and the
+    same generator state after, as k scalar draws."""
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert batched.random(k).tolist() == [scalar.random() for _ in range(k)]
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
 SHARED_PAIR_GRID = {"theta": [0.8, 0.95], "k": [2, 3], "temperature": [0.6, 1.4], "repetitions": 2}
 
 
-@pytest.mark.parametrize("memo_floats", [models.MEMO_FLOATS, 5 * 64])
+@pytest.mark.parametrize("memo_floats", [models.MEMO_FLOATS, 5 * 2 * 64])
 @pytest.mark.parametrize("draft_mode", ["sample", "greedy"])
 @pytest.mark.parametrize("mode", ["chain", "tree"])
 def test_sweep_rows_equal_rows_of_per_point_fresh_models(monkeypatch, memo_floats, draft_mode, mode):
