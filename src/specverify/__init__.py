@@ -44,7 +44,6 @@ from .verify import (
     PositionDecision,
     TreeNode,
     VerificationPolicy,
-    chain_to_tree,
     verify_chain,
     verify_tree,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "agreement_rate",
     "analyze_trace",
     "build_draft_tree",
-    "chain_to_tree",
     "decode",
     "draft_chain",
     "greedy_decode",

@@ -17,9 +17,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TopTwo:
-    """Top-1/top-2 tokens of one decoding step, with ratio and margin.
+    """Top-1/top-2 tokens of one decoding step, with their logit ratio.
 
-    Invariants: z1 >= z2, v1 != v2, margin == z1 - z2, and ratio == z2/z1
+    Invariants: z1 >= z2, v1 != v2, and ratio == z2/z1
     when z1 > 0 (None otherwise). Ties are broken toward the smaller token id.
     """
 
@@ -27,7 +27,6 @@ class TopTwo:
     v2: int
     z1: float
     z2: float
-    margin: float
     ratio: float | None
 
 
@@ -63,7 +62,7 @@ def top_two(values) -> TopTwo:
     v2 = int(masked.argmax())
     z1 = float(z[v1])
     z2 = float(z[v2])
-    return TopTwo(v1=v1, v2=v2, z1=z1, z2=z2, margin=z1 - z2, ratio=logit_ratio(z1, z2))
+    return TopTwo(v1=v1, v2=v2, z1=z1, z2=z2, ratio=logit_ratio(z1, z2))
 
 
 def adaptive_margin_check(top: TopTwo, theta: float) -> bool:

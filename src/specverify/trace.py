@@ -11,14 +11,17 @@ One header line, then one record per line. Floats are written as decimal with
 proposed at that step; both use `-` when absent. The top-k list is strictly
 descending by logit with ties broken by ascending token id, length >= 2.
 
-A trace is held as numpy columns (`TraceColumns`): each file is parsed, each
-record checked and each trace formatted once, with array operations.
-`TraceRecord` is the row view, built only when `TraceFile.records` is read.
+A trace is held as numpy columns (`TraceColumns`): each file is parsed and
+each trace formatted once, with array operations. One check, a mask per rule
+over all records, serves `read_trace`, `TraceRecorder` and `TraceFile(header,
+records)`. `TraceRecord` is the row view, built only when `TraceFile.records`
+is read.
 
 A recorded decode writes, per cycle, K draft-carrying records followed by one
 draft-less record holding the (K+1)-th parallel vector; replay groups records
-the same way, so replaying a recorded trace reproduces the live per-position
-decisions exactly, including the bonus token.
+the same way (`iter_cycles`, array operations on the draft column), so
+replaying a recorded trace reproduces the live per-position decisions exactly,
+including the bonus token.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,7 +95,8 @@ class TraceColumns:
         in file order, and their entries as 2-D blocks of that width."""
         widths = np.diff(self.offsets)
         if widths.size and (widths == widths[0]).all():  # one width: views, no gather
-            yield np.arange(widths.size), *(a.reshape(widths.size, -1) for a in (self.tokens, self.logits))
+            shape = (widths.size, widths[0])
+            yield np.arange(widths.size), self.tokens.reshape(shape), self.logits.reshape(shape)
             return
         for width in np.unique(widths).tolist():
             rows = np.flatnonzero(widths == width)
@@ -102,13 +106,8 @@ class TraceColumns:
     def rows(self) -> list[TraceRecord]:
         tokens, logits, ends = self.tokens.tolist(), self.logits.tolist(), self.offsets.tolist()
         return [
-            TraceRecord(
-                step=step,
-                top_k=tuple(zip(tokens[a:b], logits[a:b])),
-                temperature=temp,
-                chosen_draft=None if draft < 0 else draft,
-                context_hash=ctx if has_ctx else None,
-            )
+            TraceRecord(step, tuple(zip(tokens[a:b], logits[a:b])), temp,
+                        None if draft < 0 else draft, ctx if has_ctx else None)
             for step, ctx, has_ctx, temp, draft, a, b in zip(
                 self.step.tolist(), self.ctx.tolist(), self.has_ctx.tolist(),
                 self.temp.tolist(), self.draft.tolist(), ends, ends[1:],
@@ -121,98 +120,110 @@ class TraceColumns:
         return self.tokens[first], self.tokens[first + 1], self.logits[first], self.logits[first + 1]
 
 
-def _columns(
-    step: np.ndarray,
-    ctx: np.ndarray,
-    has_ctx: np.ndarray,
-    temp: np.ndarray,
-    draft: np.ndarray,
-    widths: np.ndarray,
-    tokens: np.ndarray,
-    logits: np.ndarray,
-) -> TraceColumns:
+def _columns(step, ctx, has_ctx, temp, draft, widths: np.ndarray, tokens, logits) -> TraceColumns:
     offsets = np.zeros(widths.size + 1, dtype=np.int64)
     np.cumsum(widths, out=offsets[1:])
     return TraceColumns(step, ctx, has_ctx, temp, draft, offsets, tokens, logits)
 
 
-def validate_record(rec: TraceRecord, vocab_size: int, where: str = "record") -> None:
-    """Raise TraceFormatError, naming `where`, for a record the trace grammar
-    rejects; the array checks of the reader and the recorder defer to it for
-    the message."""
-    if rec.step < 0:
-        raise TraceFormatError(f"{where}: step must be non-negative")
-    if not 0 < rec.temperature < np.inf:
-        raise TraceFormatError(f"{where}: temperature {rec.temperature} must be finite and > 0")
-    if len(rec.top_k) < 2:
-        raise TraceFormatError(f"{where}: top-k list needs at least 2 entries")
-    seen = set()
-    for tok, logit in rec.top_k:
-        if not 0 <= tok < vocab_size:
-            raise TraceFormatError(f"{where}: token {tok} out of range [0, {vocab_size})")
-        if not np.isfinite(logit):
-            raise TraceFormatError(f"{where}: non-finite logit for token {tok}")
-        if tok in seen:
-            raise TraceFormatError(f"{where}: duplicate token {tok} in top-k list")
-        seen.add(tok)
-    for (t_a, z_a), (t_b, z_b) in zip(rec.top_k, rec.top_k[1:]):
-        if not (z_a > z_b or (z_a == z_b and t_a < t_b)):
-            raise TraceFormatError(
-                f"{where}: top-k ordering violated at tokens {t_a},{t_b} "
-                "(must be logit-descending, ties by ascending token id)"
-            )
-    if rec.chosen_draft is not None and not 0 <= rec.chosen_draft < vocab_size:
-        raise TraceFormatError(f"{where}: drafted token {rec.chosen_draft} out of range")
-    # the columns hold signed 64-bit integers and an unsigned 64-bit ctx
-    if max(rec.step, rec.chosen_draft or 0, *(tok for tok, _ in rec.top_k)) >= 2**63:
-        raise TraceFormatError(f"{where}: step, tokens and draft must be below 2^63")
-    if rec.context_hash is not None and not 0 <= rec.context_hash < 2**64:
-        raise TraceFormatError(f"{where}: ctx {rec.context_hash} is not an unsigned 64-bit integer")
+def _entry_faults(tokens: np.ndarray, logits: np.ndarray, vocab_size: int) -> list[np.ndarray]:
+    """Per top-k entry of a row or block: token out of range, logit not finite."""
+    return [(tokens < 0) | (tokens >= vocab_size), ~np.isfinite(logits)]
 
 
-def _bad_rows(columns: TraceColumns, vocab_size: int) -> np.ndarray:
-    """A mask of the rows that validate_record rejects, by array operations.
-    The columns hold no negative step or token and no draft below -1."""
-    bad = ~((columns.temp > 0) & (columns.temp < np.inf))
-    bad |= np.diff(columns.offsets) < 2
-    bad |= columns.draft >= vocab_size
-    for rows, tokens, logits in columns.by_width():
-        t_a, t_b, z_a, z_b = tokens[:, :-1], tokens[:, 1:], logits[:, :-1], logits[:, 1:]
-        in_order = (z_a > z_b) | ((z_a == z_b) & (t_a < t_b))
+def _in_order(tokens: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """Per adjacent pair of top-k entries of a row or block: logits descend, ties by token id."""
+    t_a, t_b, z_a, z_b = tokens[..., :-1], tokens[..., 1:], logits[..., :-1], logits[..., 1:]
+    return (z_a > z_b) | ((z_a == z_b) & (t_a < t_b))
+
+
+def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> None:
+    """Raise TraceFormatError for the first record the trace grammar rejects,
+    named by where(i), citing the first rule below that it breaks; each rule
+    is a mask over all records. Integer columns may be object arrays of values
+    a caller gave, which need not fit 64 bits, with None for an absent draft."""
+    absent = c.draft == (None if c.draft.dtype == object else -1)
+    draft = np.where(absent, 0, c.draft)
+    with np.errstate(invalid="ignore"):  # NaN in an object array warns as it compares false
+        cold = ~((c.temp > 0) & (c.temp < np.inf))
+    entries, big = np.zeros(len(c), dtype=bool), np.zeros(len(c), dtype=bool)
+    for rows, tokens, logits in c.by_width():
         ascending = np.sort(tokens, axis=1)
-        duplicate = ascending[:, 1:] == ascending[:, :-1]
-        bad[rows] |= (
-            (tokens >= vocab_size).any(axis=1)
-            | ~np.isfinite(logits).all(axis=1)
-            | ~in_order.all(axis=1)
-            | duplicate.any(axis=1)
-        )
-    return bad
+        repeat = (ascending[:, 1:] == ascending[:, :-1]).any(axis=1)
+        fault = np.logical_or(*_entry_faults(tokens, logits, vocab_size)).any(axis=1) | repeat
+        entries[rows] = fault | ~_in_order(tokens, logits).all(axis=1)
+        big[rows] = (ascending[:, -1:] >= 2**63).any(axis=1)  # the largest token
+
+    def bad_entry(i: int) -> str:
+        """Record i's first bad entry at its first fault, else its first pair out of order."""
+        tokens, logits = (a[c.offsets[i] : c.offsets[i + 1]] for a in (c.tokens, c.logits))
+        repeat = np.ones(tokens.size, dtype=bool)
+        repeat[np.unique(tokens, return_index=True)[1]] = False  # all but each token's first entry
+        faults = np.argwhere(np.array([*_entry_faults(tokens, logits, vocab_size), repeat]).T)
+        if faults.size:  # (entry, rule) pairs, in entry order
+            j, fault = faults[0]
+            return (f"token {tokens[j]} out of range [0, {vocab_size})", f"non-finite logit for token "
+                    f"{tokens[j]}", f"duplicate token {tokens[j]} in top-k list")[fault]
+        j = int(_in_order(tokens, logits).argmin())
+        return (f"top-k ordering violated at tokens {tokens[j]},{tokens[j + 1]} "
+                "(must be logit-descending, ties by ascending token id)")
+
+    rules = [  # (mask, message of record i)
+        (c.step < 0, lambda i: "step must be non-negative"),
+        (cold, lambda i: f"temperature {c.temp[i]} must be finite and > 0"),
+        (np.diff(c.offsets) < 2, lambda i: "top-k list needs at least 2 entries"),
+        (entries, bad_entry),  # each entry in turn (range, finite, repeat), then ordering
+        (~absent & ((draft < 0) | (draft >= vocab_size)),
+         lambda i: f"drafted token {c.draft[i]} out of range"),
+        # the columns hold signed 64-bit integers and an unsigned 64-bit ctx
+        (big | (c.step >= 2**63) | (draft >= 2**63),
+         lambda i: "step, tokens and draft must be below 2^63"),
+        (c.has_ctx & ((c.ctx < 0) | (c.ctx >= 2**64)),
+         lambda i: f"ctx {c.ctx[i]} is not an unsigned 64-bit integer"),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if bad.any():
+        i = int(bad.argmax())
+        raise TraceFormatError(f"{where(i)}: {next(text(i) for mask, text in rules if mask[i])}")
+
+
+def _handed_in(step, ctx, temp, draft, widths, tokens, logits, vocab_size: int, where) -> TraceColumns:
+    """Checked columns of lists a caller handed in, ctx and draft None where
+    absent. Step, ctx and draft (and tokens, if the caller passes them so) are
+    checked as object arrays before they have to fit 64 bits, so that a
+    message shows the value given."""
+    has_ctx = np.array([x is not None for x in ctx], dtype=bool)
+    step, ctx, draft = (np.array(x, dtype=object) for x in (step, [x or 0 for x in ctx], draft))
+    raw = _columns(step, ctx, has_ctx, temp, draft, widths, tokens, logits)
+    _check(raw, vocab_size, where)
+    draft[draft == None] = -1  # elementwise, unlike `is None`
+    return TraceColumns(
+        step.astype(np.int64), ctx.astype(np.uint64), has_ctx, temp.astype(np.float64, copy=False),
+        draft.astype(np.int64), raw.offsets, tokens.astype(np.int64, copy=False), logits,
+    )
+
+
+def _record_columns(records: Sequence[TraceRecord], vocab_size: int, where) -> TraceColumns:
+    return _handed_in(
+        [r.step for r in records], [r.context_hash for r in records],
+        np.array([r.temperature for r in records], dtype=object), [r.chosen_draft for r in records],
+        np.array([len(r.top_k) for r in records], dtype=np.int64),
+        np.array([tok for r in records for tok, _ in r.top_k], dtype=object),
+        np.array([z for r in records for _, z in r.top_k], dtype=np.float64), vocab_size, where,
+    )
 
 
 class TraceFile:
     """A trace: its header and its records, held as `columns`.
 
-    Records handed in as TraceRecords are validated here, as the reader and
-    the recorder validate theirs. `records` is the row view, a list built on
+    Records handed in as TraceRecords go through the check that the reader
+    and the recorder use. `records` is the row view, a list built on
     first read; editing that list does not change the trace.
     """
 
     def __init__(self, header: TraceHeader, records: Sequence[TraceRecord] = ()):
-        for i, rec in enumerate(records):
-            validate_record(rec, header.vocab_size, where=f"record {i + 1}")
         self.header = header
-        ctx = [r.context_hash for r in records]
-        self.columns = _columns(
-            np.array([r.step for r in records], dtype=np.int64),
-            np.array([c or 0 for c in ctx], dtype=np.uint64),
-            np.array([c is not None for c in ctx], dtype=bool),
-            np.array([r.temperature for r in records], dtype=np.float64),
-            np.array([-1 if r.chosen_draft is None else r.chosen_draft for r in records], dtype=np.int64),
-            np.array([len(r.top_k) for r in records], dtype=np.int64),
-            np.array([tok for r in records for tok, _ in r.top_k], dtype=np.int64),
-            np.array([z for r in records for _, z in r.top_k], dtype=np.float64),
-        )
+        self.columns = _record_columns(records, header.vocab_size, lambda i: f"record {i + 1}")
 
     @cached_property
     def records(self) -> list[TraceRecord]:
@@ -258,7 +269,8 @@ def write_trace(trace: TraceFile, destination: str | Path) -> None:
 
 def _line_row(line: str, where: str) -> TraceRecord:
     """One record line parsed field by field in line order, raising the first
-    bad field's message: the slow path that names a bad record."""
+    bad field's message: the path of a line that the regex or a conversion
+    rejects."""
     parts = line.split(" ")
     if len(parts) != len(_FIELDS):
         raise TraceFormatError(f"{where}: expected {len(_FIELDS)} fields, got {len(parts)}")
@@ -295,13 +307,6 @@ def _line_row(line: str, where: str) -> TraceRecord:
     return TraceRecord(step, tuple(top_k), temp, draft, ctx)
 
 
-def _check_lines(body: list[str], indices: Iterable[int], vocab_size: int, where) -> None:
-    """Raise the message of the first bad record among the given lines, in
-    the given order."""
-    for i in indices:
-        validate_record(_line_row(body[i], where(i)), vocab_size, where(i))
-
-
 def _convert(groups: list[tuple[str, ...]]) -> list[np.ndarray]:
     """Column arrays (widths in place of offsets) of the field texts of
     matching record lines. Raises ValueError for a float that does not
@@ -320,6 +325,18 @@ def _convert(groups: list[tuple[str, ...]]) -> list[np.ndarray]:
         np.fromiter(map(int, entries[0::2]), np.int64, m),
         np.fromiter(map(float, entries[1::2]), np.float64, m),
     ]
+
+
+def _converted(matches: list) -> list[np.ndarray] | None:
+    """_convert of the matched lines, or None if the regex or a conversion rejects one."""
+    try:
+        return None if None in matches else _convert([m.groups() for m in matches])
+    except (ValueError, OverflowError):
+        return None
+
+
+def _concatenated(parts: list[list[np.ndarray]]) -> TraceColumns:
+    return _columns(*(np.concatenate(arrays) for arrays in zip(*parts or [_convert([])])))
 
 
 def read_trace(source: str | Path) -> TraceFile:
@@ -359,28 +376,26 @@ def read_trace(source: str | Path) -> TraceFile:
     def where(i: int) -> str:
         return f"record {i + 1} (line {linenos[i]})"
 
-    # converted a chunk at a time, which bounds the field strings held at once
-    parts, unmatched = [], None
+    parts: list[list[np.ndarray]] = []
+    # converted a chunk at a time, which bounds the field strings held at once,
+    # and a line at a time in a chunk with a line the regex or a conversion rejects
     for start in range(0, len(body), _CHUNK):
         matches = list(map(_RECORD.fullmatch, body[start : start + _CHUNK]))
-        if None in matches:
-            unmatched = start + matches.index(None)
-            matches = matches[: unmatched - start]
-        try:
-            parts.append(_convert([m.groups() for m in matches]))
-        except (ValueError, OverflowError):
-            _check_lines(body, range(start + len(matches)), vocab_size, where)
-            raise
-        if unmatched is not None:
-            break
-    columns = _columns(*(np.concatenate(arrays) for arrays in zip(*parts or [_convert([])])))
-    _check_lines(body, np.flatnonzero(_bad_rows(columns, vocab_size)).tolist(), vocab_size, where)
-    if unmatched is not None:
-        _check_lines(body, [unmatched], vocab_size, where)
-        raise TraceFormatError(f"{where(unmatched)}: does not match the record grammar")
-    return _trace_from_columns(
-        TraceHeader(vocab_size=vocab_size, producer=producer, version=version), columns
-    )
+        chunk = _converted(matches)
+        if chunk is not None:
+            parts.append(chunk)
+            continue
+        for i, match in enumerate(matches, start):
+            line = _converted([match])
+            if line is None:
+                _check(_concatenated(parts), vocab_size, where)  # an earlier record's fault comes first
+                _record_columns([_line_row(body[i], where(i))], vocab_size, lambda _: where(i))
+                raise TraceFormatError(f"{where(i)}: does not match the record grammar")
+            parts.append(line)
+    columns = _concatenated(parts)
+    _check(columns, vocab_size, where)
+    header = TraceHeader(vocab_size=vocab_size, producer=producer, version=version)
+    return _trace_from_columns(header, columns)
 
 
 def hash_context(context: Sequence[int]) -> int:
@@ -402,30 +417,22 @@ class TraceRecorder:
         self.temperature = temperature
         self.top_k = min(top_k, vocab_size)
         self._block = max(1, _BLOCK_FLOATS // max(vocab_size, 1))
-        self._steps: list[int] = []
-        self._ctxs: list[int | None] = []
-        self._drafts: list[int] = []
+        self._rows: list[tuple[int, int | None, int | None]] = []  # (step, ctx, draft)
         self._pending: list[np.ndarray] = []  # vectors not yet ranked
         self._tokens: list[np.ndarray] = []
         self._logits: list[np.ndarray] = []
         self._trace: TraceFile | None = None
 
     def __call__(
-        self,
-        position: int,
-        logits: np.ndarray,
-        chosen_draft: int | None,
-        context_hash: int,
+        self, position: int, logits: np.ndarray, chosen_draft: int | None, context_hash: int
     ) -> None:
         z = np.array(logits, dtype=np.float64)  # a copy: the caller may reuse its vector
         if z.shape != (self.vocab_size,):
             raise TraceFormatError(
-                f"record {len(self._steps) + 1}: logit vector of shape {z.shape}, "
+                f"record {len(self._rows) + 1}: logit vector of shape {z.shape}, "
                 f"expected ({self.vocab_size},)"
             )
-        self._steps.append(position)
-        self._ctxs.append(context_hash)
-        self._drafts.append(-1 if chosen_draft is None else chosen_draft)
+        self._rows.append((position, context_hash, chosen_draft))
         self._pending.append(z)
         if len(self._pending) == self._block:
             self._rank()
@@ -446,21 +453,16 @@ class TraceRecorder:
     def _validated(self) -> TraceFile:
         if self._trace is None:
             self._rank()
-            n = len(self._steps)
-            columns = _columns(
-                np.array(self._steps, dtype=np.int64),
-                np.array([c or 0 for c in self._ctxs], dtype=np.uint64),
-                np.array([c is not None for c in self._ctxs], dtype=bool),
-                np.full(n, self.temperature, dtype=np.float64),
-                np.array(self._drafts, dtype=np.int64),
+            n = len(self._rows)
+            step, ctx, draft = zip(*self._rows) if n else ([], [], [])
+            columns = _handed_in(
+                step, ctx, np.full(n, self.temperature, dtype=np.float64), draft,
                 np.full(n, self.top_k, dtype=np.int64),
                 np.concatenate(self._tokens) if n else np.zeros(0, dtype=np.int64),
                 np.concatenate(self._logits) if n else np.zeros(0),
+                self.vocab_size, lambda i: f"record {i + 1}",
             )
-            trace = _trace_from_columns(TraceHeader(vocab_size=self.vocab_size), columns)
-            for i in np.flatnonzero(_bad_rows(columns, self.vocab_size)).tolist():
-                validate_record(trace.records[i], self.vocab_size, where=f"record {i + 1}")
-            self._trace = trace
+            self._trace = _trace_from_columns(TraceHeader(vocab_size=self.vocab_size), columns)
         return self._trace
 
     @property
@@ -473,86 +475,68 @@ class TraceRecorder:
         return _trace_from_columns(header, self._validated().columns)
 
 
-def iter_cycles(trace: TraceFile, k: int) -> list[tuple[int, int | None]]:
+def iter_cycles(trace: TraceFile, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Group draft-carrying records into cycles of k, attaching the draft-less
     record that immediately follows a complete group as its bonus source.
-    Each cycle is (index of its first drafted record, index of its bonus
-    record or None); its drafted records are the k from the first on.
+    Returns (first, bonus) arrays: per cycle, the index of its first drafted
+    record (its drafted records are the k from the first on) and of its bonus
+    record, -1 where it has none. A trace with no complete cycle is an error.
 
-    A trace recorded with another k is an error: either a draft-less record
-    splits a group, or complete groups are followed by a draft-less record in
-    one place and by a drafted record in another (k divides the recorded K)."""
+    So is a trace recorded with another k, naming the lowest record at fault:
+    either a draft-less record splits a group, or complete groups are followed
+    by a draft-less record in one place and by a drafted one in another (k
+    divides the recorded K)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     drafted = trace.columns.draft >= 0
     n = drafted.size
     # runs of drafted records, [start, end)
-    edges = np.flatnonzero(np.diff(drafted, prepend=False, append=False)).tolist()
-    cycles: list[tuple[int, int | None]] = []
-    bonus_follows: bool | None = None  # what follows the complete groups so far
-    for start, end in zip(edges[0::2], edges[1::2]):
-        for first in range(start, end - k + 1, k):
-            after = first + k  # the record after the group
-            if after == n:
-                cycles.append((first, None))
-                continue
-            follows = after == end
-            if bonus_follows is not None and follows != bonus_follows:
-                raise TraceFormatError(
-                    f"record {after + 1}: {'draft-less' if follows else 'drafted'} record "
-                    f"after a complete group of {k}, unlike the groups before it"
-                )
-            bonus_follows = follows
-            cycles.append((first, after if follows else None))
-        partial = (end - start) % k
-        if partial and end < n:
-            raise TraceFormatError(
-                f"record {end + 1}: draft-less record after {partial} of {k} drafted records"
-            )
-    return cycles
-
-
-def _complete_cycles(trace: TraceFile, k: int) -> list[tuple[int, int | None]]:
-    cycles = iter_cycles(trace, k)
-    if not cycles:
+    start, end = np.flatnonzero(np.diff(drafted, prepend=False, append=False)).reshape(-1, 2).T
+    size = min(k, n + 1)  # a k past the trace's length forms no group either; this fits int64
+    groups = (end - start) // size
+    run = np.repeat(np.arange(groups.size), groups)  # each group's run
+    first = start[run] + size * (np.arange(run.size) - np.repeat(groups.cumsum() - groups, groups))
+    after = first + size  # the record after each group
+    inside = after < n
+    follows = inside & (after == end[run])  # a draft-less record follows the group
+    pattern = follows[inside]
+    unlike = after[inside][pattern != pattern[:1]][:1]  # breaks the first complete group's pattern
+    split = (end < n) & ((end - start) % size > 0)  # a draft-less record splits a group
+    faults = [(i, f"{'drafted' if drafted[i] else 'draft-less'} record after a complete group "
+                  f"of {k}, unlike the groups before it") for i in unlike]
+    faults += [(i, f"draft-less record after {(i - s) % size} of {k} drafted records")
+               for i, s in zip(end[split][:1], start[split][:1])]
+    if faults:
+        i, message = min(faults)
+        raise TraceFormatError(f"record {i + 1}: {message}")
+    if not first.size:
         raise ValueError(f"trace holds no complete cycle of {k} drafted records")
-    return cycles
+    return first, np.where(follows, after, -1)
 
 
-def replay_cycles(
-    trace: TraceFile, policy: VerificationPolicy, k: int
-) -> list[CycleResult]:
+def replay_cycles(trace: TraceFile, policy: VerificationPolicy, k: int) -> list[CycleResult]:
     """Per-cycle verification results of a replay (decision-level view)."""
-    cycles = _complete_cycles(trace, k)
+    cycles = iter_cycles(trace, k)
     v1, v2, z1, z2 = (column.tolist() for column in trace.columns.top_two())
     drafts = trace.columns.draft.tolist()
     results = []
-    for first, bonus in cycles:
-        positions = range(first, first + k)
-        tops = [
-            TopTwo(v1=v1[i], v2=v2[i], z1=z1[i], z2=z2[i], margin=z1[i] - z2[i],
-                   ratio=logit_ratio(z1[i], z2[i]))
-            for i in positions
-        ]
-        bonus_top1 = None if bonus is None else v1[bonus]
+    for first, bonus in zip(*(a.tolist() for a in cycles)):
+        tops = [TopTwo(v1=v1[i], v2=v2[i], z1=z1[i], z2=z2[i], ratio=logit_ratio(z1[i], z2[i]))
+                for i in range(first, first + k)]
+        bonus_top1 = None if bonus < 0 else v1[bonus]
         results.append(verify_top_two_chain(drafts[first : first + k], tops, policy, bonus_top1))
     return results
 
 
 def replay_verify(
-    trace: TraceFile,
-    policy: VerificationPolicy,
-    k: int,
-    cost: CostModel = CostModel(),
+    trace: TraceFile, policy: VerificationPolicy, k: int, cost: CostModel = CostModel()
 ) -> DecodeMetrics:
     """Re-run verification over a recorded trace using only the top-2 entries.
 
     One array pass over all cycles at once, deciding each position as
     decide_position does; replay_cycles is the same replay cycle by cycle."""
-    cycles = _complete_cycles(trace, k)
-    n = len(cycles)
-    first = np.fromiter((f for f, _ in cycles), np.int64, n)
-    has_bonus = np.fromiter((b is not None for _, b in cycles), bool, n)
+    first, bonus = iter_cycles(trace, k)
+    n, has_bonus = first.size, bonus >= 0
     c = trace.columns
     rows = first[:, None] + np.arange(k)  # (cycles, k) drafted records
     top, draft = c.offsets[rows], c.draft[rows]  # top: each record's top-1 entry

@@ -149,14 +149,6 @@ def verify_chain(
     return verify_top_two_chain(draft, tops, policy, bonus_top1)
 
 
-def chain_to_tree(tokens: Sequence[int]) -> list[TreeNode]:
-    """Embed a drafted chain as a branching-1 token tree."""
-    roots: list[TreeNode] = []
-    for tok in reversed(tokens):
-        roots = [TreeNode(int(tok), tuple(roots))]
-    return roots
-
-
 def _validate_tree(nodes: Sequence[TreeNode], vocab_size: int) -> None:
     stack = list(nodes)
     while stack:

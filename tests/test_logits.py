@@ -26,7 +26,6 @@ class TestTopTwo:
     def test_basic(self):
         t = top_two([1.0, 3.0, 2.0])
         assert (t.v1, t.z1, t.v2, t.z2) == (1, 3.0, 2, 2.0)
-        assert t.margin == 1.0
 
     def test_tie_breaks_to_smallest_id(self):
         t = top_two([5.0, 5.0, 1.0])
@@ -59,10 +58,6 @@ class TestTopTwo:
             v1, v2 = sort_oracle_top_two(list(z))
             assert (t.v1, t.v2) == (v1, v2)
             assert (t.z1, t.z2) == (z[v1], z[v2])
-
-    def test_margin_is_exact_difference(self):
-        t = top_two([10.0, 9.11, 0.0])
-        assert t.margin == 10.0 - 9.11
 
 
 class TestLogitRatio:
@@ -129,7 +124,7 @@ class TestAdaptiveMarginCheck:
         assert adaptive_margin_check(t, 0.9) is False
 
     def test_disabled_when_top_logit_nonpositive(self):
-        t = TopTwo(v1=0, v2=1, z1=-1.0, z2=-2.0, margin=1.0, ratio=None)
+        t = TopTwo(v1=0, v2=1, z1=-1.0, z2=-2.0, ratio=None)
         assert adaptive_margin_check(t, 0.9) is False
 
     def test_theta_validated(self):
@@ -145,7 +140,7 @@ class TestAdaptiveMarginCheck:
         z2s = z1s - rng.uniform(0.0, 10.0, 10_000)
         thetas = rng.choice([0.84, 0.88, 0.9, 0.92, 0.96], size=10_000)
         for z1, z2, theta in zip(z1s, z2s, thetas):
-            t = TopTwo(0, 1, z1, z2, z1 - z2, logit_ratio(z1, z2))
+            t = TopTwo(0, 1, z1, z2, logit_ratio(z1, z2))
             ratio_form = z2 / z1 > theta
             margin_form = (z1 - z2) < (1.0 - theta) * z1
             assert adaptive_margin_check(t, theta) == ratio_form == margin_form

@@ -25,6 +25,7 @@ from specverify.trace import (
 )
 from specverify.verify import VerificationPolicy
 
+import trace_oracle
 from conftest import make_pair
 
 MARGIN_09 = VerificationPolicy.margin_aware(0.9)
@@ -150,6 +151,44 @@ class TestValidation:
         with pytest.raises(TraceFormatError, match="record 5"):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("step", -3, None),
+            ("step", 2**63, "step, tokens and draft must be below 2^63"),
+            ("chosen_draft", -1, None),  # not read as the -1 that marks an absent draft
+            ("chosen_draft", -5, None),
+            ("chosen_draft", 2**63, None),
+            ("top_k", ((64, 2.5), (1, 1.25)), None),
+            ("top_k", ((3, 2.5), (-1, 1.25)), None),
+            ("top_k", ((2**63, 2.5), (1, 1.25)), None),
+            ("top_k", ((3, 2.5), (-(2**63) - 1, 1.25)), None),
+            ("top_k", ((3, math.nan), (1, 1.25)), None),
+            ("top_k", ((3, 2.5), (1, math.inf)), None),
+            ("top_k", ((3, 2.5), (3, 1.25)), None),
+            ("top_k", ((1, 1.25), (3, 2.5)), None),
+            ("temperature", 0, None),
+            ("temperature", math.nan, None),
+            ("temperature", math.inf, None),
+            ("context_hash", -1, "ctx -1 is not an unsigned 64-bit integer"),
+            ("context_hash", 2**64, f"ctx {2**64} is not an unsigned 64-bit integer"),
+        ],
+    )
+    def test_each_bad_field_handed_in_gets_its_message(self, field, value, message):
+        """A record handed to TraceFile gets the per-record oracle's message,
+        or, for what only the 64-bit columns refuse, the documented one."""
+        rec = dataclasses.replace(make_record(draft=3, ctx=7), **{field: value})
+        if message is None:
+            with pytest.raises(TraceFormatError) as oracle:
+                trace_oracle.validate_record(rec, 64, where="record 1")
+            message = str(oracle.value)
+        else:
+            trace_oracle.validate_record(rec, 64, where="record 1")  # the oracle accepts it
+            message = f"record 1: {message}"
+        with pytest.raises(TraceFormatError) as new:
+            TraceFile(TraceHeader(64), [rec])
+        assert str(new.value) == message
+
     def test_tie_break_ordering_enforced(self):
         rec = make_record(top_k=((5, 2.0), (3, 2.0)))  # tie must order by id
         with pytest.raises(TraceFormatError, match="ordering"):
@@ -232,6 +271,22 @@ class TestRecorder:
             rec(1, np.zeros(size), None, 0)
         assert len(rec.records) == 1  # the refused vector is not recorded
 
+    @pytest.mark.parametrize(
+        "step, draft, ctx, message",
+        [
+            (1, -5, 0, "drafted token -5 out of range"),
+            (1, -1, 0, "drafted token -1 out of range"),  # not an absent draft
+            (2**63, 1, 0, "step, tokens and draft must be below 2^63"),
+            (1, 1, -1, "ctx -1 is not an unsigned 64-bit integer"),
+        ],
+    )
+    def test_bad_value_handed_to_the_recorder_names_its_record(self, step, draft, ctx, message):
+        rec = TraceRecorder(vocab_size=8, temperature=1.0)
+        rec(0, np.zeros(8), 1, 0)
+        rec(step, np.arange(8.0), draft, ctx)
+        with pytest.raises(TraceFormatError, match=re.escape(f"record 2: {message}")):
+            rec.to_trace()
+
     @given(
         vocab=st.integers(2, 9),
         top_k=st.integers(2, 10),
@@ -294,20 +349,20 @@ class TestReplay:
                 records.append(make_record(step=cyc * 3 + i, draft=1))
             records.append(make_record(step=cyc * 3 + 2, draft=None))
         trace = TraceFile(TraceHeader(64, ""), records)
-        cycles = iter_cycles(trace, 2)
-        assert len(cycles) == 3
-        assert all(bonus is not None for _, bonus in cycles)
+        first, bonus = iter_cycles(trace, 2)
+        assert len(first) == 3
+        assert (bonus >= 0).all()
 
     def test_trailing_partial_cycle_ignored(self):
         records = [make_record(step=i, draft=1) for i in range(5)]
         trace = TraceFile(TraceHeader(64, ""), records)
-        assert len(iter_cycles(trace, 2)) == 2
+        assert len(iter_cycles(trace, 2)[0]) == 2
 
     def test_draftless_record_inside_a_cycle_rejected(self):
         # a K=3 recording replayed with k=2: record 4 is the K=3 continuation
         records = [make_record(step=i, draft=None if i % 4 == 3 else 1) for i in range(8)]
         trace = TraceFile(TraceHeader(64, ""), records)
-        assert len(iter_cycles(trace, 3)) == 2
+        assert len(iter_cycles(trace, 3)[0]) == 2
         with pytest.raises(TraceFormatError, match="record 4"):
             iter_cycles(trace, 2)
 
@@ -316,7 +371,7 @@ class TestReplay:
         # into drafted records, the second into the draft-less one
         records = [make_record(step=i, draft=None if i % 5 == 4 else 1) for i in range(10)]
         trace = TraceFile(TraceHeader(64, ""), records)
-        assert len(iter_cycles(trace, 4)) == 2
+        assert len(iter_cycles(trace, 4)[0]) == 2
         with pytest.raises(TraceFormatError, match="record 5: draft-less"):
             iter_cycles(trace, 2)
         with pytest.raises(TraceFormatError, match="record 5: draft-less"):
@@ -328,6 +383,24 @@ class TestReplay:
         trace = TraceFile(TraceHeader(64, ""), records)
         with pytest.raises(TraceFormatError, match="record 6: drafted"):
             iter_cycles(trace, 2)
+
+    @given(drafted=st.lists(st.booleans(), max_size=60), k=st.integers(1, 6))
+    @settings(max_examples=500, deadline=None)
+    def test_cycles_equal_the_per_run_loop(self, drafted, k):
+        """The array grouping gives the per-run loop's cycles, or raises its
+        error with its message."""
+        records = [make_record(step=i, draft=1 if d else None) for i, d in enumerate(drafted)]
+        trace = TraceFile(TraceHeader(64, ""), records)
+        try:
+            first, bonus = iter_cycles(trace, k)
+            new = list(zip(first.tolist(), [None if b < 0 else b for b in bonus.tolist()]))
+        except ValueError as exc:  # TraceFormatError included
+            new = type(exc), str(exc)
+        try:
+            old = trace_oracle.iter_cycles(trace, k)
+        except ValueError as exc:
+            old = type(exc), str(exc)
+        assert new == old
 
     def test_trace_shorter_than_one_cycle(self):
         trace = TraceFile(TraceHeader(64, ""), [make_record(draft=1)])

@@ -9,7 +9,6 @@ from specverify.verify import (
     Decision,
     TreeNode,
     VerificationPolicy,
-    chain_to_tree,
     decide_position,
     verify_chain,
     verify_tree,
@@ -31,6 +30,14 @@ def oracle_decide(values, draft_tok, policy):
     if policy.kind == "margin" and draft_tok == v2 and z1 > 0 and z2 / z1 > policy.theta:
         return ("relaxed", draft_tok)
     return ("rejected", v1)
+
+
+def chain_to_tree(tokens):
+    """A drafted chain as a branching-1 token tree."""
+    roots = []
+    for tok in reversed(tokens):
+        roots = [TreeNode(int(tok), tuple(roots))]
+    return roots
 
 
 def random_cycle(rng, k=7, vocab=16):

@@ -1,8 +1,9 @@
-"""The per-record trace reader and trace analysis that the columnar ones in
-`specverify.trace` and `specverify.analysis` replaced, kept as the reference
-for differential tests. The reader parses and validates one record at a time
-with `int`/`float` on split fields, the writer validates and formats one
-record at a time, and analysis takes a 1-D softmax per record.
+"""The per-record trace reader, cycle grouping and trace analysis that the
+columnar ones in `specverify.trace` and `specverify.analysis` replaced, kept
+as the reference for differential tests. The reader parses and validates one
+record at a time with `int`/`float` on split fields, the writer validates and
+formats one record at a time, cycles are grouped by a loop over the runs of
+drafted records, and analysis takes a 1-D softmax per record.
 """
 
 from __future__ import annotations
@@ -158,6 +159,42 @@ def read_trace(source: str | Path) -> tuple[TraceHeader, list[TraceRecord]]:
         validate_record(rec, vocab_size, where)
         records.append(rec)
     return TraceHeader(vocab_size=vocab_size, producer=producer, version=version), records
+
+
+def iter_cycles(trace: TraceFile, k: int) -> list[tuple[int, int | None]]:
+    """Cycles of k drafted records as (index of the first, index of the
+    draft-less record after the group or None), grouped run by run, with the
+    errors of a trace recorded with another k or holding no complete cycle."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    drafted = np.array([rec.chosen_draft is not None for rec in trace.records], dtype=bool)
+    n = drafted.size
+    # runs of drafted records, [start, end)
+    edges = np.flatnonzero(np.diff(drafted, prepend=False, append=False)).tolist()
+    cycles: list[tuple[int, int | None]] = []
+    bonus_follows: bool | None = None  # what follows the complete groups so far
+    for start, end in zip(edges[0::2], edges[1::2]):
+        for first in range(start, end - k + 1, k):
+            after = first + k  # the record after the group
+            if after == n:
+                cycles.append((first, None))
+                continue
+            follows = after == end
+            if bonus_follows is not None and follows != bonus_follows:
+                raise TraceFormatError(
+                    f"record {after + 1}: {'draft-less' if follows else 'drafted'} record "
+                    f"after a complete group of {k}, unlike the groups before it"
+                )
+            bonus_follows = follows
+            cycles.append((first, after if follows else None))
+        partial = (end - start) % k
+        if partial and end < n:
+            raise TraceFormatError(
+                f"record {end + 1}: draft-less record after {partial} of {k} drafted records"
+            )
+    if not cycles:
+        raise ValueError(f"trace holds no complete cycle of {k} drafted records")
+    return cycles
 
 
 def analyze_records(
