@@ -28,10 +28,6 @@ class Histogram:
     counts: tuple[int, ...]
     outside: int = 0  # the non-finite values, which no bin counts
 
-    @property
-    def total(self) -> int:
-        return int(sum(self.counts))
-
 
 @dataclass(frozen=True)
 class ScatterPoint:

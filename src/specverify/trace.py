@@ -26,8 +26,9 @@ including the bonus token.
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -35,8 +36,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .engine import CostModel, DecodeMetrics, context_hasher, hash_value, metrics_from_counts
-from .logits import TopTwo, logit_ratio
-from .verify import CycleResult, Decision, VerificationPolicy, verify_top_two_chain
+from .verify import Decision, VerificationPolicy
+from .verify import verify_top_two_chain  # noqa: F401  (perfbench traces trace.verify_top_two_chain)
 
 FORMAT_VERSION = 1
 DEFAULT_TOP_K = 10
@@ -70,7 +71,10 @@ class TraceRecord:
 class TraceHeader:
     vocab_size: int
     producer: str = ""
-    version: int = FORMAT_VERSION
+
+    def __post_init__(self) -> None:
+        if self.vocab_size < 2:  # as read_trace refuses it; a file always carries FORMAT_VERSION
+            raise TraceFormatError(f"vocab must be >= 2, got {self.vocab_size}")
 
 
 @dataclass(frozen=True)
@@ -137,12 +141,31 @@ def _in_order(tokens: np.ndarray, logits: np.ndarray) -> np.ndarray:
     return (z_a > z_b) | ((z_a == z_b) & (t_a < t_b))
 
 
+def _not_integer(values: np.ndarray) -> np.ndarray:
+    """Per value of an integer column: not an integer (only an object array holds any)."""
+    if values.dtype != object:
+        return np.zeros(values.size, dtype=bool)
+    integer = map(isinstance, values.tolist(), itertools.repeat((int, np.integer)))
+    return ~np.fromiter(integer, bool, values.size)
+
+
 def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> None:
     """Raise TraceFormatError for the first record the trace grammar rejects,
     named by where(i), citing the first rule below that it breaks; each rule
     is a mask over all records. Integer columns may be object arrays of values
-    a caller gave, which need not fit 64 bits, with None for an absent draft."""
+    a caller gave, which need not be integers or fit 64 bits, with None for an
+    absent draft."""
     absent = c.draft == (None if c.draft.dtype == object else -1)
+    # per integer column, in line order and by field name, its values that are not integers
+    names = {"step": "step", "ctx": "ctx", "draft": "draft", "tokens": "token"}
+    odd = {column: _not_integer(getattr(c, column)) for column in names}
+    odd["draft"] &= ~absent
+    odd_rows = odd["step"] | odd["ctx"] | odd["draft"]
+    if odd["tokens"].any():  # the records of the odd tokens
+        odd_rows[np.repeat(np.arange(len(c)), np.diff(c.offsets))[odd["tokens"]]] = True
+    given = c
+    if odd_rows.any():  # 0 in the other rules' masks, so that their comparisons hold
+        c = replace(c, **{k: np.where(mask, 0, getattr(c, k)) for k, mask in odd.items()})
     draft = np.where(absent, 0, c.draft)
     with np.errstate(invalid="ignore"):  # NaN in an object array warns as it compares false
         cold = ~((c.temp > 0) & (c.temp < np.inf))
@@ -168,7 +191,16 @@ def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> Non
         return (f"top-k ordering violated at tokens {tokens[j]},{tokens[j + 1]} "
                 "(must be logit-descending, ties by ascending token id)")
 
+    def not_integer(i: int) -> str:
+        """Record i's first value, in line order, that is not an integer."""
+        for column, name in names.items():
+            at = slice(c.offsets[i], c.offsets[i + 1]) if column == "tokens" else slice(i, i + 1)
+            values, mask = getattr(given, column)[at], odd[column][at]
+            if mask.any():
+                return f"{name} {values[mask.argmax()]!r} is not an integer"
+
     rules = [  # (mask, message of record i)
+        (odd_rows, not_integer),
         (c.step < 0, lambda i: "step must be non-negative"),
         (cold, lambda i: f"temperature {c.temp[i]} must be finite and > 0"),
         (np.diff(c.offsets) < 2, lambda i: "top-k list needs at least 2 entries"),
@@ -193,7 +225,8 @@ def _handed_in(step, ctx, temp, draft, widths, tokens, logits, vocab_size: int, 
     checked as object arrays before they have to fit 64 bits, so that a
     message shows the value given."""
     has_ctx = np.array([x is not None for x in ctx], dtype=bool)
-    step, ctx, draft = (np.array(x, dtype=object) for x in (step, [x or 0 for x in ctx], draft))
+    ctx = [0 if x is None else x for x in ctx]
+    step, ctx, draft = (np.array(x, dtype=object) for x in (step, ctx, draft))
     raw = _columns(step, ctx, has_ctx, temp, draft, widths, tokens, logits)
     _check(raw, vocab_size, where)
     draft[draft == None] = -1  # elementwise, unlike `is None`
@@ -246,7 +279,7 @@ def write_trace(trace: TraceFile, destination: str | Path) -> None:
     templates = {w: ",".join(["%d:%.17g"] * w) for w in np.unique(np.diff(c.offsets)).tolist()}
     with open(destination, "w", encoding="utf-8") as fh:
         fh.write(
-            f"{_MAGIC} v{trace.header.version} "
+            f"{_MAGIC} v{FORMAT_VERSION} "
             f"vocab={trace.header.vocab_size} producer={trace.header.producer}\n"
         )
         # formatted a chunk at a time, which bounds the strings held at once
@@ -394,7 +427,7 @@ def read_trace(source: str | Path) -> TraceFile:
             parts.append(line)
     columns = _concatenated(parts)
     _check(columns, vocab_size, where)
-    header = TraceHeader(vocab_size=vocab_size, producer=producer, version=version)
+    header = TraceHeader(vocab_size=vocab_size, producer=producer)
     return _trace_from_columns(header, columns)
 
 
@@ -408,7 +441,7 @@ class TraceRecorder:
     """Engine recorder callback filling trace columns during a decode.
 
     Vectors are ranked a block at a time: a block holds at most
-    `_BLOCK_FLOATS` logits, and reading the records ranks a partial one."""
+    `_BLOCK_FLOATS` logits, and to_trace ranks a partial one."""
 
     def __init__(self, vocab_size: int, temperature: float, top_k: int = DEFAULT_TOP_K):
         if top_k < 2:
@@ -421,7 +454,6 @@ class TraceRecorder:
         self._pending: list[np.ndarray] = []  # vectors not yet ranked
         self._tokens: list[np.ndarray] = []
         self._logits: list[np.ndarray] = []
-        self._trace: TraceFile | None = None
 
     def __call__(
         self, position: int, logits: np.ndarray, chosen_draft: int | None, context_hash: int
@@ -436,7 +468,6 @@ class TraceRecorder:
         self._pending.append(z)
         if len(self._pending) == self._block:
             self._rank()
-        self._trace = None
 
     def _rank(self) -> None:
         """Move the pending vectors' top-k into the columns. A stable sort of
@@ -450,29 +481,19 @@ class TraceRecorder:
             self._logits.append(np.take_along_axis(z, order, axis=1).ravel())
             self._pending = []
 
-    def _validated(self) -> TraceFile:
-        if self._trace is None:
-            self._rank()
-            n = len(self._rows)
-            step, ctx, draft = zip(*self._rows) if n else ([], [], [])
-            columns = _handed_in(
-                step, ctx, np.full(n, self.temperature, dtype=np.float64), draft,
-                np.full(n, self.top_k, dtype=np.int64),
-                np.concatenate(self._tokens) if n else np.zeros(0, dtype=np.int64),
-                np.concatenate(self._logits) if n else np.zeros(0),
-                self.vocab_size, lambda i: f"record {i + 1}",
-            )
-            self._trace = _trace_from_columns(TraceHeader(vocab_size=self.vocab_size), columns)
-        return self._trace
-
-    @property
-    def records(self) -> list[TraceRecord]:
-        """The row view of the records so far."""
-        return self._validated().records
-
     def to_trace(self, producer: str = "") -> TraceFile:
-        header = TraceHeader(vocab_size=self.vocab_size, producer=producer)
-        return _trace_from_columns(header, self._validated().columns)
+        """The records so far as a trace, checked as TraceFile(header, records) is."""
+        self._rank()
+        n = len(self._rows)
+        step, ctx, draft = zip(*self._rows) if n else ([], [], [])
+        columns = _handed_in(
+            step, ctx, np.full(n, self.temperature, dtype=np.float64), draft,
+            np.full(n, self.top_k, dtype=np.int64),
+            np.concatenate(self._tokens) if n else np.zeros(0, dtype=np.int64),
+            np.concatenate(self._logits) if n else np.zeros(0),
+            self.vocab_size, lambda i: f"record {i + 1}",
+        )
+        return _trace_from_columns(TraceHeader(self.vocab_size, producer), columns)
 
 
 def iter_cycles(trace: TraceFile, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -514,27 +535,13 @@ def iter_cycles(trace: TraceFile, k: int) -> tuple[np.ndarray, np.ndarray]:
     return first, np.where(follows, after, -1)
 
 
-def replay_cycles(trace: TraceFile, policy: VerificationPolicy, k: int) -> list[CycleResult]:
-    """Per-cycle verification results of a replay (decision-level view)."""
-    cycles = iter_cycles(trace, k)
-    v1, v2, z1, z2 = (column.tolist() for column in trace.columns.top_two())
-    drafts = trace.columns.draft.tolist()
-    results = []
-    for first, bonus in zip(*(a.tolist() for a in cycles)):
-        tops = [TopTwo(v1=v1[i], v2=v2[i], z1=z1[i], z2=z2[i], ratio=logit_ratio(z1[i], z2[i]))
-                for i in range(first, first + k)]
-        bonus_top1 = None if bonus < 0 else v1[bonus]
-        results.append(verify_top_two_chain(drafts[first : first + k], tops, policy, bonus_top1))
-    return results
-
-
 def replay_verify(
     trace: TraceFile, policy: VerificationPolicy, k: int, cost: CostModel = CostModel()
 ) -> DecodeMetrics:
     """Re-run verification over a recorded trace using only the top-2 entries.
 
     One array pass over all cycles at once, deciding each position as
-    decide_position does; replay_cycles is the same replay cycle by cycle."""
+    decide_position does."""
     first, bonus = iter_cycles(trace, k)
     n, has_bonus = first.size, bonus >= 0
     c = trace.columns

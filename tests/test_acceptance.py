@@ -29,13 +29,13 @@ from specverify.trace import (
     TraceHeader,
     TraceRecorder,
     read_trace,
-    replay_cycles,
     write_trace,
 )
 from specverify.verify import Decision, VerificationPolicy, decide_position, verify_chain
 
 from conftest import make_pair
 from test_trace import assert_records_bit_equal, fuzz_records
+from trace_oracle import replay_cycles
 
 THETA_GRID = (0.84, 0.86, 0.88, 0.90, 0.92, 0.94, 0.96)
 K_GRID = (6, 9, 12, 15)

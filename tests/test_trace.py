@@ -19,7 +19,6 @@ from specverify.trace import (
     hash_context,
     iter_cycles,
     read_trace,
-    replay_cycles,
     replay_verify,
     write_trace,
 )
@@ -27,6 +26,7 @@ from specverify.verify import VerificationPolicy
 
 import trace_oracle
 from conftest import make_pair
+from trace_oracle import replay_cycles
 
 MARGIN_09 = VerificationPolicy.margin_aware(0.9)
 STRICT = VerificationPolicy.strict()
@@ -83,7 +83,7 @@ class TestRoundTrip:
         write_trace(TraceFile(TraceHeader(vocab_size=64, producer="unit test")), path)
         back = read_trace(path)
         assert back.records == []
-        assert back.header == TraceHeader(vocab_size=64, producer="unit test", version=1)
+        assert back.header == TraceHeader(vocab_size=64, producer="unit test")
 
     def test_three_records(self, tmp_path):
         records = [
@@ -172,6 +172,20 @@ class TestValidation:
             ("temperature", math.inf, None),
             ("context_hash", -1, "ctx -1 is not an unsigned 64-bit integer"),
             ("context_hash", 2**64, f"ctx {2**64} is not an unsigned 64-bit integer"),
+            # values that are not integers, which a 64-bit column would truncate or refuse
+            ("step", 1.5, None),
+            ("step", np.float64(2.5), None),
+            ("step", None, None),
+            ("step", "3", None),
+            ("chosen_draft", 2.9, None),
+            ("chosen_draft", "3", None),
+            ("context_hash", 1.0, None),
+            ("context_hash", 0.0, None),
+            ("context_hash", math.nan, None),
+            ("context_hash", "3", None),
+            ("top_k", ((3, 2.5), (1.0, 1.25)), None),
+            ("top_k", ((None, 2.5), (1, 1.25)), None),
+            ("top_k", (("3", 2.5), (1, 1.25)), None),
         ],
     )
     def test_each_bad_field_handed_in_gets_its_message(self, field, value, message):
@@ -188,6 +202,26 @@ class TestValidation:
         with pytest.raises(TraceFormatError) as new:
             TraceFile(TraceHeader(64), [rec])
         assert str(new.value) == message
+
+    def test_value_that_is_not_an_integer_is_named_in_file_order(self):
+        """The first bad record wins, whichever rule it breaks, and a record
+        with several such values names the first in line order."""
+        records = [make_record(), make_record(temp=0.0), make_record(step=1.5)]
+        with pytest.raises(TraceFormatError, match=re.escape("record 2: temperature 0.0 must")):
+            TraceFile(TraceHeader(64), records)
+        records[1] = make_record(top_k=((3, 2.5), (1.0, 1.25)), draft=2.0, ctx=7)
+        with pytest.raises(TraceFormatError, match=re.escape("record 2: draft 2.0 is not an integer")):
+            TraceFile(TraceHeader(64), records)
+
+    def test_header_is_one_that_read_trace_reads(self, tmp_path):
+        with pytest.raises(TraceFormatError, match=re.escape("vocab must be >= 2, got 1")):
+            TraceHeader(1)
+        with pytest.raises(TypeError):
+            TraceHeader(8, version=2)
+        path = tmp_path / "two.trace"
+        write_trace(TraceFile(TraceHeader(2, "x"), [make_record(top_k=((1, 2.5), (0, 1.25)))]), path)
+        assert path.read_text().startswith("specverify-trace v1 vocab=2 producer=x\n")
+        assert read_trace(path).header == TraceHeader(2, "x")
 
     def test_tie_break_ordering_enforced(self):
         rec = make_record(top_k=((5, 2.0), (3, 2.0)))  # tie must order by id
@@ -253,15 +287,16 @@ class TestRecorder:
     def test_records_sorted_topk(self):
         rec = TraceRecorder(vocab_size=8, temperature=1.0, top_k=4)
         rec(0, np.array([0.0, 5.0, 5.0, 1.0, -2.0, 3.0, 0.5, 0.25]), 2, hash_context([1, 2]))
-        (entries,) = [r.top_k for r in rec.records]
+        records = rec.to_trace().records
+        (entries,) = [r.top_k for r in records]
         assert [t for t, _ in entries] == [1, 2, 5, 3]  # tie 5.0/5.0 broken by id
-        assert rec.records[0].chosen_draft == 2
-        assert rec.records[0].context_hash is not None
+        assert records[0].chosen_draft == 2
+        assert records[0].context_hash is not None
 
     def test_topk_capped_at_vocab(self):
         rec = TraceRecorder(vocab_size=3, temperature=1.0, top_k=10)
         rec(0, np.array([1.0, 2.0, 3.0]), None, hash_context([0]))
-        assert len(rec.records[0].top_k) == 3
+        assert len(rec.to_trace().records[0].top_k) == 3
 
     @pytest.mark.parametrize("size", [3, 63, 65])
     def test_wrong_length_vector_names_the_record(self, size):
@@ -269,7 +304,7 @@ class TestRecorder:
         rec(0, np.zeros(64), 1, 0)
         with pytest.raises(TraceFormatError, match=re.escape(f"record 2: logit vector of shape ({size},)")):
             rec(1, np.zeros(size), None, 0)
-        assert len(rec.records) == 1  # the refused vector is not recorded
+        assert len(rec.to_trace().records) == 1  # the refused vector is not recorded
 
     @pytest.mark.parametrize(
         "step, draft, ctx, message",
@@ -278,6 +313,7 @@ class TestRecorder:
             (1, -1, 0, "drafted token -1 out of range"),  # not an absent draft
             (2**63, 1, 0, "step, tokens and draft must be below 2^63"),
             (1, 1, -1, "ctx -1 is not an unsigned 64-bit integer"),
+            (2.5, 1, 0, "step 2.5 is not an integer"),
         ],
     )
     def test_bad_value_handed_to_the_recorder_names_its_record(self, step, draft, ctx, message):
@@ -539,10 +575,11 @@ class TestStreamedContextHash:
         cycles = []
         out, _ = decode(target, draft, config, prompt, recorder=recorder, cycle_sink=cycles)
         k = config.k
-        assert len(recorder.records) == (k + 1) * len(cycles)
+        records = recorder.to_trace().records
+        assert len(records) == (k + 1) * len(cycles)
         done = 0
         for c, cycle in enumerate(cycles):
-            group = recorder.records[c * (k + 1) : (c + 1) * (k + 1)]
+            group = records[c * (k + 1) : (c + 1) * (k + 1)]
             drafted = [r.chosen_draft for r in group[:k]]
             for i, rec in enumerate(group):
                 assert rec.context_hash == hash_context(list(prompt) + out[:done] + drafted[:i])

@@ -1,9 +1,11 @@
-"""The per-record trace reader, cycle grouping and trace analysis that the
-columnar ones in `specverify.trace` and `specverify.analysis` replaced, kept
-as the reference for differential tests. The reader parses and validates one
-record at a time with `int`/`float` on split fields, the writer validates and
-formats one record at a time, cycles are grouped by a loop over the runs of
-drafted records, and analysis takes a 1-D softmax per record.
+"""The per-record trace reader, cycle grouping, cycle replay and trace
+analysis that the columnar ones in `specverify.trace` and
+`specverify.analysis` replaced, kept as the reference for differential
+tests. The reader parses and validates one record at a time with
+`int`/`float` on split fields, the writer validates and formats one record
+at a time, cycles are grouped by a loop over the runs of drafted records,
+replay decides one cycle at a time, and analysis takes a 1-D softmax per
+record.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+import specverify.trace
 from specverify.analysis import DEFAULT_BINS, AnalysisReport, Histogram, ScatterPoint, _histogram
-from specverify.logits import logit_ratio
+from specverify.logits import TopTwo, logit_ratio
 from specverify.trace import (
     FORMAT_VERSION,
     _MAGIC,
@@ -23,6 +26,7 @@ from specverify.trace import (
     TraceHeader,
     TraceRecord,
 )
+from specverify.verify import CycleResult, VerificationPolicy, verify_top_two_chain
 
 
 def softmax(values, temperature: float) -> np.ndarray:
@@ -33,6 +37,11 @@ def softmax(values, temperature: float) -> np.ndarray:
 
 
 def validate_record(rec: TraceRecord, vocab_size: int, where: str = "record") -> None:
+    values = [("step", rec.step), ("ctx", rec.context_hash), ("draft", rec.chosen_draft)]
+    for name, value in values + [("token", tok) for tok, _ in rec.top_k]:
+        absent = value is None and name in ("ctx", "draft")
+        if not absent and not isinstance(value, (int, np.integer)):
+            raise TraceFormatError(f"{where}: {name} {value!r} is not an integer")
     if rec.step < 0:
         raise TraceFormatError(f"{where}: step must be non-negative")
     if not 0 < rec.temperature < np.inf:
@@ -69,7 +78,7 @@ def write_trace(trace: TraceFile, destination: str | Path) -> None:
     if "\n" in trace.header.producer or "\r" in trace.header.producer:
         raise TraceFormatError("producer string must not contain newlines")
     lines = [
-        f"{_MAGIC} v{trace.header.version} "
+        f"{_MAGIC} v{FORMAT_VERSION} "
         f"vocab={trace.header.vocab_size} producer={trace.header.producer}"
     ]
     for rec in trace.records:
@@ -158,7 +167,7 @@ def read_trace(source: str | Path) -> tuple[TraceHeader, list[TraceRecord]]:
         rec = _parse_record(line, where)
         validate_record(rec, vocab_size, where)
         records.append(rec)
-    return TraceHeader(vocab_size=vocab_size, producer=producer, version=version), records
+    return TraceHeader(vocab_size=vocab_size, producer=producer), records
 
 
 def iter_cycles(trace: TraceFile, k: int) -> list[tuple[int, int | None]]:
@@ -195,6 +204,22 @@ def iter_cycles(trace: TraceFile, k: int) -> list[tuple[int, int | None]]:
     if not cycles:
         raise ValueError(f"trace holds no complete cycle of {k} drafted records")
     return cycles
+
+
+def replay_cycles(trace: TraceFile, policy: VerificationPolicy, k: int) -> list[CycleResult]:
+    """Per-cycle verification results of a replay (decision-level view): the
+    cycles of `specverify.trace.iter_cycles`, each decided position by
+    position by verify_top_two_chain, as live decode decides them."""
+    cycles = specverify.trace.iter_cycles(trace, k)
+    v1, v2, z1, z2 = (column.tolist() for column in trace.columns.top_two())
+    drafts = trace.columns.draft.tolist()
+    results = []
+    for first, bonus in zip(*(a.tolist() for a in cycles)):
+        tops = [TopTwo(v1=v1[i], v2=v2[i], z1=z1[i], z2=z2[i], ratio=logit_ratio(z1[i], z2[i]))
+                for i in range(first, first + k)]
+        bonus_top1 = None if bonus < 0 else v1[bonus]
+        results.append(verify_top_two_chain(drafts[first : first + k], tops, policy, bonus_top1))
+    return results
 
 
 def analyze_records(
