@@ -44,7 +44,7 @@ DEFAULT_TOP_K = 10
 _MAGIC = "specverify-trace"
 _FIELDS = ("step", "ctx", "temp", "draft", "topk")
 _DIGITS = re.compile(r"[0-9]+")
-_CHUNK = 1024  # record lines converted at a time
+_CHUNK = 1024  # record lines converted at a time, and top-k texts write_trace holds
 _BLOCK_FLOATS = 2**17  # logits a recorder holds unranked at once
 # one record line of the README grammar; a float is any field text, so a bad
 # one fails in float() with float()'s own message
@@ -73,6 +73,8 @@ class TraceHeader:
     producer: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.vocab_size, (int, np.integer)):
+            raise TraceFormatError(f"vocab {self.vocab_size!r} is not an integer")
         if self.vocab_size < 2:  # as read_trace refuses it; a file always carries FORMAT_VERSION
             raise TraceFormatError(f"vocab must be >= 2, got {self.vocab_size}")
 
@@ -141,31 +143,45 @@ def _in_order(tokens: np.ndarray, logits: np.ndarray) -> np.ndarray:
     return (z_a > z_b) | ((z_a == z_b) & (t_a < t_b))
 
 
-def _not_integer(values: np.ndarray) -> np.ndarray:
-    """Per value of an integer column: not an integer (only an object array holds any)."""
+def _not_of(values: np.ndarray, kind: type) -> np.ndarray:
+    """Per value of a column of `int`s or `float`s: not of that kind, where a
+    float may be an int that float64 holds (only an object array holds any)."""
     if values.dtype != object:
         return np.zeros(values.size, dtype=bool)
-    integer = map(isinstance, values.tolist(), itertools.repeat((int, np.integer)))
-    return ~np.fromiter(integer, bool, values.size)
+    if kind is int:
+        fits = map(isinstance, values.tolist(), itertools.repeat((int, np.integer)))
+    else:
+        fits = map(_is_float64, values.tolist())
+    return ~np.fromiter(fits, bool, values.size)
+
+
+def _is_float64(value) -> bool:
+    # an int as large as 2^1024 - 2^970 rounds past the largest float64
+    return isinstance(value, (float, np.floating)) or (
+        isinstance(value, (int, np.integer)) and -(2**1024 - 2**970) < value < 2**1024 - 2**970)
 
 
 def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> None:
     """Raise TraceFormatError for the first record the trace grammar rejects,
     named by where(i), citing the first rule below that it breaks; each rule
-    is a mask over all records. Integer columns may be object arrays of values
-    a caller gave, which need not be integers or fit 64 bits, with None for an
-    absent draft."""
+    is a mask over all records. Columns may be object arrays of values a caller
+    gave, which need not be numbers or fit 64 bits, with None for an absent
+    draft."""
     absent = c.draft == (None if c.draft.dtype == object else -1)
-    # per integer column, in line order and by field name, its values that are not integers
-    names = {"step": "step", "ctx": "ctx", "draft": "draft", "tokens": "token"}
-    odd = {column: _not_integer(getattr(c, column)) for column in names}
+    # per column, in line order (a top-k token before a logit): its field's name and
+    # kind, and its values that are not of that kind
+    fields = {"step": ("step", int), "ctx": ("ctx", int), "temp": ("temperature", float),
+              "draft": ("draft", int), "tokens": ("token", int), "logits": ("logit", float)}
+    odd = {column: _not_of(getattr(c, column), kind) for column, (_, kind) in fields.items()}
     odd["draft"] &= ~absent
-    odd_rows = odd["step"] | odd["ctx"] | odd["draft"]
-    if odd["tokens"].any():  # the records of the odd tokens
-        odd_rows[np.repeat(np.arange(len(c)), np.diff(c.offsets))[odd["tokens"]]] = True
+    odd_rows = odd["step"] | odd["ctx"] | odd["temp"] | odd["draft"]
+    odd_entries = odd["tokens"] | odd["logits"]
+    if odd_entries.any():  # their records
+        odd_rows[np.repeat(np.arange(len(c)), np.diff(c.offsets))[odd_entries]] = True
     given = c
     if odd_rows.any():  # 0 in the other rules' masks, so that their comparisons hold
         c = replace(c, **{k: np.where(mask, 0, getattr(c, k)) for k, mask in odd.items()})
+    c = replace(c, logits=c.logits.astype(np.float64, copy=False))  # numbers now, for np.isfinite
     draft = np.where(absent, 0, c.draft)
     with np.errstate(invalid="ignore"):  # NaN in an object array warns as it compares false
         cold = ~((c.temp > 0) & (c.temp < np.inf))
@@ -191,16 +207,18 @@ def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> Non
         return (f"top-k ordering violated at tokens {tokens[j]},{tokens[j + 1]} "
                 "(must be logit-descending, ties by ascending token id)")
 
-    def not_integer(i: int) -> str:
-        """Record i's first value, in line order, that is not an integer."""
-        for column, name in names.items():
-            at = slice(c.offsets[i], c.offsets[i + 1]) if column == "tokens" else slice(i, i + 1)
+    def odd_value(i: int) -> str:
+        """Record i's first value, in the order of fields, that is not of its field's kind."""
+        for column, (name, kind) in fields.items():
+            entry = column in ("tokens", "logits")
+            at = slice(c.offsets[i], c.offsets[i + 1]) if entry else slice(i, i + 1)
             values, mask = getattr(given, column)[at], odd[column][at]
             if mask.any():
-                return f"{name} {values[mask.argmax()]!r} is not an integer"
+                return (f"{name} {values[mask.argmax()]!r} is not "
+                        f"{'an integer' if kind is int else 'a float64 number'}")
 
     rules = [  # (mask, message of record i)
-        (odd_rows, not_integer),
+        (odd_rows, odd_value),
         (c.step < 0, lambda i: "step must be non-negative"),
         (cold, lambda i: f"temperature {c.temp[i]} must be finite and > 0"),
         (np.diff(c.offsets) < 2, lambda i: "top-k list needs at least 2 entries"),
@@ -221,9 +239,9 @@ def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> Non
 
 def _handed_in(step, ctx, temp, draft, widths, tokens, logits, vocab_size: int, where) -> TraceColumns:
     """Checked columns of lists a caller handed in, ctx and draft None where
-    absent. Step, ctx and draft (and tokens, if the caller passes them so) are
-    checked as object arrays before they have to fit 64 bits, so that a
-    message shows the value given."""
+    absent. Step, ctx and draft (and temperatures, tokens and logits, if the
+    caller passes them so) are checked as object arrays before they have to
+    fit 64 bits, so that a message shows the value given."""
     has_ctx = np.array([x is not None for x in ctx], dtype=bool)
     ctx = [0 if x is None else x for x in ctx]
     step, ctx, draft = (np.array(x, dtype=object) for x in (step, ctx, draft))
@@ -232,7 +250,8 @@ def _handed_in(step, ctx, temp, draft, widths, tokens, logits, vocab_size: int, 
     draft[draft == None] = -1  # elementwise, unlike `is None`
     return TraceColumns(
         step.astype(np.int64), ctx.astype(np.uint64), has_ctx, temp.astype(np.float64, copy=False),
-        draft.astype(np.int64), raw.offsets, tokens.astype(np.int64, copy=False), logits,
+        draft.astype(np.int64), raw.offsets, tokens.astype(np.int64, copy=False),
+        logits.astype(np.float64, copy=False),
     )
 
 
@@ -242,7 +261,7 @@ def _record_columns(records: Sequence[TraceRecord], vocab_size: int, where) -> T
         np.array([r.temperature for r in records], dtype=object), [r.chosen_draft for r in records],
         np.array([len(r.top_k) for r in records], dtype=np.int64),
         np.array([tok for r in records for tok, _ in r.top_k], dtype=object),
-        np.array([z for r in records for _, z in r.top_k], dtype=np.float64), vocab_size, where,
+        np.array([z for r in records for _, z in r.top_k], dtype=object), vocab_size, where,
     )
 
 
@@ -272,11 +291,14 @@ def _trace_from_columns(header: TraceHeader, columns: TraceColumns) -> TraceFile
 
 def write_trace(trace: TraceFile, destination: str | Path) -> None:
     """Write a trace; round-trips bit-exactly through read_trace. Its records
-    were validated when they came into the TraceFile."""
+    were validated when they came into the TraceFile. Each distinct top-k
+    row, keyed by its token and logit bytes, is formatted once while at most
+    `_CHUNK` rows' texts are held, and each distinct temperature once a chunk."""
     if len(f"{trace.header.producer}.".splitlines()) > 1:  # as read_trace splits lines
         raise TraceFormatError(f"producer {trace.header.producer!r} contains a line break")
     c = trace.columns
     templates = {w: ",".join(["%d:%.17g"] * w) for w in np.unique(np.diff(c.offsets)).tolist()}
+    texts: dict[bytes, str] = {}
     with open(destination, "w", encoding="utf-8") as fh:
         fh.write(
             f"{_MAGIC} v{FORMAT_VERSION} "
@@ -289,13 +311,25 @@ def write_trace(trace: TraceFile, destination: str | Path) -> None:
             span = slice(c.offsets[start], c.offsets[start] + ends[-1])
             entries: list = [None] * (2 * ends[-1])
             entries[0::2], entries[1::2] = c.tokens[span].tolist(), c.logits[span].tolist()
+            # a row's key: the bits of its tokens and logits, interleaved
+            bits = np.stack([c.tokens[span], c.logits[span].view(np.int64)], axis=1).tobytes()
+            topk = []
+            for a, b in zip(ends, ends[1:]):
+                text = texts.get(key := bits[16 * a : 16 * b])
+                if text is None:
+                    if len(texts) == _CHUNK:
+                        texts.clear()
+                    text = texts[key] = templates[b - a] % tuple(entries[2 * a : 2 * b])
+                topk.append(text)
+            # a temperature is > 0 and finite, so equal values have equal bits
+            temps = c.temp[rows].tolist()
+            temp_texts = {temp: f"{temp:.17g}" for temp in set(temps)}
             fh.write("".join(
-                f"step={step} ctx={ctx if has_ctx else '-'} temp={temp:.17g} "
-                f"draft={draft if draft >= 0 else '-'} "
-                f"topk={templates[b - a] % tuple(entries[2 * a : 2 * b])}\n"
-                for step, ctx, has_ctx, temp, draft, a, b in zip(
+                f"step={step} ctx={ctx if has_ctx else '-'} temp={temp_texts[temp]} "
+                f"draft={draft if draft >= 0 else '-'} topk={text}\n"
+                for step, ctx, has_ctx, temp, draft, text in zip(
                     c.step[rows].tolist(), c.ctx[rows].tolist(), c.has_ctx[rows].tolist(),
-                    c.temp[rows].tolist(), c.draft[rows].tolist(), ends, ends[1:],
+                    temps, c.draft[rows].tolist(), topk,
                 )
             ))
 
@@ -440,8 +474,9 @@ def hash_context(context: Sequence[int]) -> int:
 class TraceRecorder:
     """Engine recorder callback filling trace columns during a decode.
 
-    Vectors are ranked a block at a time: a block holds at most
-    `_BLOCK_FLOATS` logits, and to_trace ranks a partial one."""
+    Each distinct logit vector, keyed by its bytes, is copied and ranked once,
+    a block of at most `_BLOCK_FLOATS` logits at a time; a record keeps its
+    vector's row, and to_trace ranks a partial block."""
 
     def __init__(self, vocab_size: int, temperature: float, top_k: int = DEFAULT_TOP_K):
         if top_k < 2:
@@ -450,47 +485,54 @@ class TraceRecorder:
         self.temperature = temperature
         self.top_k = min(top_k, vocab_size)
         self._block = max(1, _BLOCK_FLOATS // max(vocab_size, 1))
-        self._rows: list[tuple[int, int | None, int | None]] = []  # (step, ctx, draft)
-        self._pending: list[np.ndarray] = []  # vectors not yet ranked
+        self._rows: list[tuple[int, int | None, int | None, int]] = []  # (step, ctx, draft, row)
+        self._seen: dict[bytes, int] = {}  # the pending block: each vector's row, by its bytes
+        self._distinct = 0  # rows so far, ranked or pending
         self._tokens: list[np.ndarray] = []
         self._logits: list[np.ndarray] = []
 
     def __call__(
         self, position: int, logits: np.ndarray, chosen_draft: int | None, context_hash: int
     ) -> None:
-        z = np.array(logits, dtype=np.float64)  # a copy: the caller may reuse its vector
+        z = np.asarray(logits, dtype=np.float64)
         if z.shape != (self.vocab_size,):
             raise TraceFormatError(
                 f"record {len(self._rows) + 1}: logit vector of shape {z.shape}, "
                 f"expected ({self.vocab_size},)"
             )
-        self._rows.append((position, context_hash, chosen_draft))
-        self._pending.append(z)
-        if len(self._pending) == self._block:
+        bits = z.tobytes()  # a copy: the caller may reuse its vector
+        row = self._seen.get(bits)
+        if row is None:
+            row = self._seen[bits] = self._distinct
+            self._distinct += 1
+        self._rows.append((position, context_hash, chosen_draft, row))
+        if len(self._seen) == self._block:
             self._rank()
 
     def _rank(self) -> None:
         """Move the pending vectors' top-k into the columns. A stable sort of
         the negated logits orders each row by descending logit, ties to the
         smaller token id, as the trace grammar does."""
-        if self._pending:
-            z = np.stack(self._pending)
+        if self._seen:
+            z = np.frombuffer(b"".join(self._seen), dtype=np.float64).reshape(len(self._seen), -1)
             # the columns copy the top-k, so the full-vocabulary sort is not kept alive
             order = np.argsort(-z, axis=1, kind="stable")[:, : self.top_k]
             self._tokens.append(order.flatten())
             self._logits.append(np.take_along_axis(z, order, axis=1).ravel())
-            self._pending = []
+            self._seen = {}
 
     def to_trace(self, producer: str = "") -> TraceFile:
         """The records so far as a trace, checked as TraceFile(header, records) is."""
         self._rank()
         n = len(self._rows)
-        step, ctx, draft = zip(*self._rows) if n else ([], [], [])
+        step, ctx, draft, row = zip(*self._rows) if n else ([], [], [], [])
+        tokens = np.concatenate(self._tokens) if n else np.zeros(0, dtype=np.int64)
+        logits = np.concatenate(self._logits) if n else np.zeros(0)
+        if self._distinct < n:  # some records share a row: gather each record's top-k
+            tokens, logits = (a.reshape(-1, self.top_k)[list(row)].ravel() for a in (tokens, logits))
         columns = _handed_in(
             step, ctx, np.full(n, self.temperature, dtype=np.float64), draft,
-            np.full(n, self.top_k, dtype=np.int64),
-            np.concatenate(self._tokens) if n else np.zeros(0, dtype=np.int64),
-            np.concatenate(self._logits) if n else np.zeros(0),
+            np.full(n, self.top_k, dtype=np.int64), tokens, logits,
             self.vocab_size, lambda i: f"record {i + 1}",
         )
         return _trace_from_columns(TraceHeader(self.vocab_size, producer), columns)

@@ -186,6 +186,16 @@ class TestValidation:
             ("top_k", ((3, 2.5), (1.0, 1.25)), None),
             ("top_k", ((None, 2.5), (1, 1.25)), None),
             ("top_k", (("3", 2.5), (1, 1.25)), None),
+            # values that are not numbers, which a float64 column would convert or refuse
+            ("temperature", "1", None),
+            ("temperature", None, None),
+            pytest.param("temperature", 10**400, None, id="temperature-10**400"),
+            # the smallest int that rounds past float64's range
+            pytest.param("temperature", 2**1024 - 2**970, None, id="temperature-2**1024-2**970"),
+            ("top_k", ((3, "2.5"), (1, 1.25)), None),
+            ("top_k", ((3, 2.5), (1, None)), None),
+            ("top_k", ((3, 10**400), (1, 1.25)), None),
+            ("top_k", ((3, 2.5), (1, 1 + 0j)), None),
         ],
     )
     def test_each_bad_field_handed_in_gets_its_message(self, field, value, message):
@@ -213,15 +223,42 @@ class TestValidation:
         with pytest.raises(TraceFormatError, match=re.escape("record 2: draft 2.0 is not an integer")):
             TraceFile(TraceHeader(64), records)
 
+    def test_value_that_is_not_a_number_is_named_in_file_order(self):
+        """A temperature or logit must be an int or float that float64 holds;
+        in a record, a top-k token is named before a logit."""
+        records = [make_record(), make_record(step=1.5), make_record(temp="1")]
+        with pytest.raises(TraceFormatError, match=re.escape("record 2: step 1.5 is not an integer")):
+            TraceFile(TraceHeader(64), records)
+        records[1] = make_record(top_k=((3, "2.5"), (1.0, 1.25)))
+        with pytest.raises(TraceFormatError, match=re.escape("record 2: token 1.0 is not an integer")):
+            TraceFile(TraceHeader(64), records)
+        records[1] = make_record(top_k=((3, "2.5"), (1, 1.25)))
+        with pytest.raises(TraceFormatError,
+                           match=re.escape("record 2: logit '2.5' is not a float64 number")):
+            TraceFile(TraceHeader(64), records)
+        records[1] = make_record()
+        with pytest.raises(TraceFormatError,
+                           match=re.escape("record 3: temperature '1' is not a float64 number")):
+            TraceFile(TraceHeader(64), records)
+        # ints and numpy floats are numbers, held as float64
+        big = 2**1024 - 2**970 - 1
+        rec = make_record(top_k=((3, big), (1, np.float32(1.25))), temp=2)
+        (row,) = TraceFile(TraceHeader(64), [rec]).records
+        assert row.top_k == ((3, float(big)), (1, 1.25)) and row.temperature == 2.0
+
     def test_header_is_one_that_read_trace_reads(self, tmp_path):
         with pytest.raises(TraceFormatError, match=re.escape("vocab must be >= 2, got 1")):
             TraceHeader(1)
+        for vocab in (8.0, "8", None, np.float64(8)):
+            with pytest.raises(TraceFormatError, match=re.escape(f"vocab {vocab!r} is not an integer")):
+                TraceHeader(vocab)
         with pytest.raises(TypeError):
             TraceHeader(8, version=2)
         path = tmp_path / "two.trace"
-        write_trace(TraceFile(TraceHeader(2, "x"), [make_record(top_k=((1, 2.5), (0, 1.25)))]), path)
-        assert path.read_text().startswith("specverify-trace v1 vocab=2 producer=x\n")
-        assert read_trace(path).header == TraceHeader(2, "x")
+        for vocab in (2, np.int64(2)):
+            write_trace(TraceFile(TraceHeader(vocab, "x"), [make_record(top_k=((1, 2.5), (0, 1.25)))]), path)
+            assert path.read_text().startswith("specverify-trace v1 vocab=2 producer=x\n")
+            assert read_trace(path).header == TraceHeader(2, "x")
 
     def test_tie_break_ordering_enforced(self):
         rec = make_record(top_k=((5, 2.0), (3, 2.0)))  # tie must order by id
@@ -346,6 +383,65 @@ class TestRecorder:
                 assert recorder_outcome(rec) == lexsort_outcome(vectors[:i], vocab, top_k)
             if z is not None:
                 rec(i, np.array(z), i % 3 or None, 7 * i)
+
+    @given(
+        vocab=st.integers(2, 6),
+        block=st.integers(1, 3),
+        reuse=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_vectors_equal_per_record_lexsort(self, vocab, block, reuse, data):
+        """Vectors drawn from a small pool, so that records repeat one another,
+        before and after the map of vectors seen is cleared with a block,
+        and with reuse one array mutated in place between calls: the columns
+        (or the first bad record's message) of one lexsort per record."""
+        pool = data.draw(st.lists(
+            st.lists(st.sampled_from(RECORDER_LOGITS), min_size=vocab, max_size=vocab),
+            min_size=1, max_size=4,
+        ))
+        vectors = [pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=14))]
+        with mock.patch.object(trace_module, "_BLOCK_FLOATS", block * vocab):
+            rec = TraceRecorder(vocab_size=vocab, temperature=0.5, top_k=vocab)
+        buffer = np.zeros(vocab)
+        for i, z in enumerate(vectors):
+            if reuse:
+                buffer[:] = z
+            rec(i, buffer if reuse else np.array(z), i % 3 or None, 7 * i)
+        assert recorder_outcome(rec) == lexsort_outcome(vectors, vocab, vocab)
+
+    def test_vectors_equal_but_for_zero_signs_are_distinct_rows(self):
+        """0.0 == -0.0, but a record keeps the bits it was handed."""
+        rec = TraceRecorder(vocab_size=3, temperature=0.5, top_k=3)
+        vectors = [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [-0.0, -0.0, 1.0]]
+        for i, z in enumerate(vectors):
+            rec(i, np.array(z), i % 3 or None, 7 * i)
+        logits = rec.to_trace().columns.logits.reshape(4, 3)
+        assert [np.signbit(row).tolist() for row in logits] == [
+            [False, False, True], [False, True, False], [False, False, True], [False, True, True]]
+        assert recorder_outcome(rec) == lexsort_outcome(vectors, 3, 3)
+
+    def test_repeat_after_the_block_is_ranked(self):
+        """Repeats that arrive after their vector's block was ranked, and the
+        map of vectors seen cleared, still read their own top-k; a NaN
+        vector's message names its first record, and a wrong-length vector's
+        counts the repeats before it."""
+        vectors = [[1.0, 2.0, 0.5], [3.0, 0.0, -1.0], [1.0, 2.0, 0.5], [3.0, 0.0, -1.0],
+                   [1.0, 2.0, 0.5]]
+        with mock.patch.object(trace_module, "_BLOCK_FLOATS", 2 * 3):
+            rec = TraceRecorder(vocab_size=3, temperature=0.5, top_k=3)
+        buffer = np.zeros(3)
+        for i, z in enumerate(vectors):
+            buffer[:] = z
+            rec(i, buffer, i % 3 or None, 7 * i)
+        assert recorder_outcome(rec) == lexsort_outcome(vectors, 3, 3)
+        for i, z in enumerate([[np.nan, 1.0, 0.0], [1.0, 2.0, 0.5], [np.nan, 1.0, 0.0]], len(vectors)):
+            vectors.append(z)
+            rec(i, np.array(z), i % 3 or None, 7 * i)
+        assert recorder_outcome(rec) == lexsort_outcome(vectors, 3, 3) == (
+            "record 6: non-finite logit for token 0")
+        with pytest.raises(TraceFormatError, match=re.escape("record 9: logit vector of shape (2,)")):
+            rec(8, np.zeros(2), None, 0)
 
 
 # logits with ties, both zeros and every non-finite value

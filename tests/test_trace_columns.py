@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trace_oracle
+from specverify import trace as trace_module
 from specverify.analysis import analyze_trace
 from specverify.trace import (
     TraceFile,
@@ -191,6 +193,47 @@ def test_valid_traces_read_and_write_as_the_oracle_does(tmp_path_factory, lines)
     write_trace(trace, path.with_name("new.trace"))
     trace_oracle.write_trace(trace, path.with_name("old.trace"))
     assert path.with_name("new.trace").read_bytes() == path.with_name("old.trace").read_bytes()
+
+
+def repeated_rows(rng: random.Random, distinct: int, records: int) -> list[TraceRecord]:
+    """Records whose top-k rows repeat: each of `records` picks one of
+    `distinct` rows of ragged widths, or the bit-twin of a row that differs
+    only in the sign of a zero logit, which formats differently."""
+    rows = []
+    for _ in range(distinct):
+        width = rng.randint(2, 6)
+        logits = sorted((rng.choice([0.0, 1.5, -2.25, 1e300, 5e-324]) for _ in range(width)), reverse=True)
+        rows.append(tuple(zip(sorted(rng.sample(range(VOCAB), width)), logits)))
+        if 0.0 in logits:  # its twin is == to it, but not in bits
+            rows.append(tuple((tok, -z if z == 0 else z) for tok, z in rows[-1]))
+    return [
+        TraceRecord(i, rng.choice(rows), rng.choice([0.4, 1.0]),
+                    rng.choice([None, rng.randrange(VOCAB)]), rng.choice([None, i]))
+        for i in range(records)
+    ]
+
+
+@given(seed=st.integers(0, 2**32 - 1), distinct=st.integers(1, 12), records=st.integers(0, 40),
+       chunk=st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_repeated_rows_write_as_the_oracle_does(tmp_path_factory, seed, distinct, records, chunk):
+    """Rows repeated verbatim and as zero-sign twins write the oracle's bytes,
+    also with a `_CHUNK` so small that the held row texts are dropped and
+    formatted again many times over."""
+    trace = TraceFile(TraceHeader(VOCAB, "rows"), repeated_rows(random.Random(seed), distinct, records))
+    path = tmp_path_factory.getbasetemp()
+    with mock.patch.object(trace_module, "_CHUNK", chunk):
+        write_trace(trace, path / "new.trace")
+    trace_oracle.write_trace(trace, path / "old.trace")
+    assert (path / "new.trace").read_bytes() == (path / "old.trace").read_bytes()
+
+
+def test_more_distinct_rows_than_a_chunk_write_as_the_oracle_does(tmp_path):
+    trace = TraceFile(TraceHeader(VOCAB), repeated_rows(random.Random(5), 1500, 5000))
+    assert len({repr(r.top_k) for r in trace.records}) > trace_module._CHUNK  # repr shows -0.0
+    write_trace(trace, tmp_path / "new.trace")
+    trace_oracle.write_trace(trace, tmp_path / "old.trace")
+    assert (tmp_path / "new.trace").read_bytes() == (tmp_path / "old.trace").read_bytes()
 
 
 @given(case=mutated())

@@ -36,11 +36,27 @@ def softmax(values, temperature: float) -> np.ndarray:
     return e / e.sum()
 
 
+def _is_float64_number(value) -> bool:
+    """An int or float (numpy's too) that float() converts without overflow."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def validate_record(rec: TraceRecord, vocab_size: int, where: str = "record") -> None:
-    values = [("step", rec.step), ("ctx", rec.context_hash), ("draft", rec.chosen_draft)]
-    for name, value in values + [("token", tok) for tok, _ in rec.top_k]:
+    values = [("step", rec.step), ("ctx", rec.context_hash), ("temperature", rec.temperature),
+              ("draft", rec.chosen_draft)]
+    values += [("token", tok) for tok, _ in rec.top_k] + [("logit", z) for _, z in rec.top_k]
+    for name, value in values:
         absent = value is None and name in ("ctx", "draft")
-        if not absent and not isinstance(value, (int, np.integer)):
+        if name in ("temperature", "logit"):
+            if not _is_float64_number(value):
+                raise TraceFormatError(f"{where}: {name} {value!r} is not a float64 number")
+        elif not absent and not isinstance(value, (int, np.integer)):
             raise TraceFormatError(f"{where}: {name} {value!r} is not an integer")
     if rec.step < 0:
         raise TraceFormatError(f"{where}: step must be non-negative")
