@@ -86,6 +86,8 @@ class ExperimentSpec:
                 raise ValueError(f"field 'theta': {t} not in (0, 1]")
         if self.repetitions < 1:
             raise ValueError("field 'repetitions': must be >= 1")
+        if self.repetitions >= 2**63:  # a row's repetition is a signed 64-bit integer
+            raise ValueError(f"field 'repetitions': {self.repetitions} must be below 2^63")
         if not 0 <= self.cost_ratio < np.inf:
             raise ValueError(f"field 'cost_ratio': {self.cost_ratio} must be finite and >= 0")
         # -0.0 passes the check; written as 0.0, its CSV is the one 0 gives

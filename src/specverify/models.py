@@ -41,6 +41,11 @@ DEFAULT_LOGIT_OFFSET = 0.5
 DEFAULT_LOGIT_SPREAD = 2.0
 DEFAULT_NOISE_SCALE = 0.5
 MAX_TREE_LEAVES = 200_000
+# A window's id, its seed and the prompt grow with the order, and a run slows
+# faster than linearly in it (50 tokens took about 0.5 s at order 1000 and 13 s
+# at 10000 on a 2-core x86_64 machine); a huge order never returns from
+# computing the id modulus.
+MAX_ORDER = 1024
 # Floats each model instance memoises, logits and CDFs (8 bytes each, 4 MiB):
 # 4096 windows at the default vocabulary of 64, every full window at order 2.
 MEMO_FLOATS = 2**19
@@ -89,6 +94,8 @@ class SyntheticTargetConfig:
             raise ValueError("field 'vocab_size': must be >= 2")
         if self.order < 1:
             raise ValueError("field 'order': must be >= 1")
+        if self.order > MAX_ORDER:
+            raise ValueError(f"field 'order': {self.order} exceeds the {MAX_ORDER}-token limit")
         if not np.isfinite(self.logit_offset):
             raise ValueError(f"field 'logit_offset': {self.logit_offset} is not finite")
         if not 0 < self.logit_spread < np.inf:

@@ -12,10 +12,13 @@ proposed at that step; both use `-` when absent. The top-k list is strictly
 descending by logit with ties broken by ascending token id, length >= 2.
 
 A trace is held as numpy columns (`TraceColumns`): each file is parsed and
-each trace formatted once, with array operations. One check, a mask per rule
-over all records, serves `read_trace`, `TraceRecorder` and `TraceFile(header,
-records)`. `TraceRecord` is the row view, built only when `TraceFile.records`
-is read.
+each trace formatted once, with array operations. `read_trace` parses and
+grammar-checks each distinct top-k text once, keyed by the text, and drops
+the texts it holds once they reach `_BLOCK_FLOATS` top-k entries;
+`write_trace` formats each distinct top-k row once. One check, a mask per
+rule over all records, serves `read_trace`, `TraceRecorder` and
+`TraceFile(header, records)`. `TraceRecord` is the row view, built only when
+`TraceFile.records` is read.
 
 A recorded decode writes, per cycle, K draft-carrying records followed by one
 draft-less record holding the (K+1)-th parallel vector; replay groups records
@@ -45,13 +48,13 @@ _MAGIC = "specverify-trace"
 _FIELDS = ("step", "ctx", "temp", "draft", "topk")
 _DIGITS = re.compile(r"[0-9]+")
 _CHUNK = 1024  # record lines converted at a time, and top-k texts write_trace holds
-_BLOCK_FLOATS = 2**17  # logits a recorder holds unranked at once
-# one record line of the README grammar; a float is any field text, so a bad
-# one fails in float() with float()'s own message
-_RECORD = re.compile(
-    r"step=([0-9]+) ctx=(-|[0-9]+) temp=([^ ]+) draft=(-|[0-9]+) "
-    r"topk=([0-9]+:[^ ,:]+(?:,[0-9]+:[^ ,:]+)*)"
-)
+# logits a recorder holds unranked at once, and top-k entries whose texts read_trace holds
+_BLOCK_FLOATS = 2**17
+# one record line of the README grammar, its top-k list any text, which
+# _TopKRows checks once per distinct text; a float is any field text, so a
+# bad one fails in float() with float()'s own message
+_RECORD = re.compile(r"step=([0-9]+) ctx=(-|[0-9]+) temp=([^ ]+) draft=(-|[0-9]+) topk=([^ ]+)")
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",:")  # what translate deletes
 
 
 class TraceFormatError(ValueError):
@@ -255,7 +258,19 @@ def _handed_in(step, ctx, temp, draft, widths, tokens, logits, vocab_size: int, 
     )
 
 
+def _pairs(top_k) -> bool:
+    """top_k is a sized collection of (token, logit) pairs, which the columns need."""
+    try:
+        return hasattr(top_k, "__len__") and all(len(entry) == 2 for entry in top_k)
+    except TypeError:  # top_k or an entry is not a collection
+        return False
+
+
 def _record_columns(records: Sequence[TraceRecord], vocab_size: int, where) -> TraceColumns:
+    for i, r in enumerate(records):
+        if not _pairs(r.top_k):
+            raise TraceFormatError(
+                f"{where(i)}: top-k {r.top_k!r} is not a list of (token, logit) pairs")
     return _handed_in(
         [r.step for r in records], [r.context_hash for r in records],
         np.array([r.temperature for r in records], dtype=object), [r.chosen_draft for r in records],
@@ -374,36 +389,92 @@ def _line_row(line: str, where: str) -> TraceRecord:
     return TraceRecord(step, tuple(top_k), temp, draft, ctx)
 
 
-def _convert(groups: list[tuple[str, ...]]) -> list[np.ndarray]:
-    """Column arrays (widths in place of offsets) of the field texts of
-    matching record lines. Raises ValueError for a float that does not
-    parse and OverflowError for an integer that does not fit."""
+class _TopKRows:
+    """The top-k rows of a file being read, each distinct top-k text parsed
+    once: a map from text to row, cleared once the texts it holds reach
+    `_BLOCK_FLOATS` top-k entries (a text seen again after that is parsed
+    again, as a new row). Keys are texts, never values: `-0` and `0` are two
+    rows."""
+
+    def __init__(self) -> None:
+        self._id: dict[str, int] = {}  # each text's row
+        self._held = 0  # top-k entries of the texts in _id
+        # (widths, tokens, logits) of the rows, a block of new rows per ids() call
+        self._parsed = [[np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)]]
+        self._count = 0  # rows parsed
+
+    def ids(self, texts: Sequence[str]) -> np.ndarray:
+        """Each text's row, parsing the texts not seen before. Raises
+        ValueError for a text that the grammar or float() rejects and
+        OverflowError for a token that does not fit; no row is added then."""
+        if self._held >= _BLOCK_FLOATS:
+            self._id, self._held = {}, 0
+        fresh = [text for text in dict.fromkeys(texts) if text not in self._id]
+        if fresh:
+            joined = ",".join(fresh)
+            entries = joined.replace(":", ",").split(",")
+            tokens, logits = entries[0::2], entries[1::2]
+            digits = "".join(tokens)
+            # the grammar, <digits>:<logit>,...: each entry holds one ':', so that the
+            # separators alternate, and its token is ASCII digits (int() and float()
+            # refuse an empty field); a fullmatch of the grammar's regex over `joined`
+            # takes 2.5-3 times as long (17 against 7 ms for 107k entries on a
+            # 2-core x86_64 machine)
+            separators = joined.encode().translate(None, _NOT_SEPARATOR)
+            alternate = separators == b":" + b",:" * joined.count(",")
+            if not (alternate and digits.isascii() and digits.isdigit()):
+                raise ValueError("top-k list does not match the record grammar")
+            m = len(logits)
+            tokens = np.fromiter(map(int, tokens), np.int64, m)
+            logits = np.fromiter(map(float, logits), np.float64, m)
+            widths = np.fromiter((text.count(",") + 1 for text in fresh), np.int64, len(fresh))
+            self._parsed.append([widths, tokens, logits])
+            self._id.update(zip(fresh, itertools.count(self._count)))
+            self._count += len(fresh)
+            self._held += m
+        return np.fromiter(map(self._id.__getitem__, texts), np.int64, len(texts))
+
+    def gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(widths, tokens, logits) of the records whose rows are `ids`: all
+        the records that ids() was asked for, in order."""
+        widths, tokens, logits = (np.concatenate(arrays) for arrays in zip(*self._parsed))
+        record_widths = widths[ids]
+        ends = np.cumsum(record_widths)
+        # each entry's place in the rows' entries less its place in the records'
+        at = np.repeat(np.cumsum(widths)[ids] - ends, record_widths)
+        at += np.arange(at.size)
+        return record_widths, tokens[at], logits[at]
+
+
+def _convert(groups: list[tuple[str, ...]], rows: _TopKRows) -> list[np.ndarray]:
+    """Column arrays (each record's top-k row id in place of offsets, tokens
+    and logits) of the field texts of record lines that match `_RECORD`.
+    Raises ValueError for a top-k list that the grammar rejects or a float
+    that does not parse and OverflowError for an integer that does not fit."""
     n = len(groups)
     step, ctx, temp, draft, topk = zip(*groups) if groups else [()] * len(_FIELDS)
-    entries = ",".join(topk).replace(":", ",").split(",") if topk else []
-    m = len(entries) // 2
+    temps = {text: float(text) for text in set(temp)}  # each distinct text once
     return [
         np.fromiter(map(int, step), np.int64, n),
         np.fromiter((0 if c == "-" else int(c) for c in ctx), np.uint64, n),
         np.fromiter((c != "-" for c in ctx), bool, n),
-        np.fromiter(map(float, temp), np.float64, n),
+        np.fromiter(map(temps.__getitem__, temp), np.float64, n),
         np.fromiter((-1 if d == "-" else int(d) for d in draft), np.int64, n),
-        np.fromiter((s.count(",") + 1 for s in topk), np.int64, n),
-        np.fromiter(map(int, entries[0::2]), np.int64, m),
-        np.fromiter(map(float, entries[1::2]), np.float64, m),
+        rows.ids(topk),  # last, so that rows are added only for lines that convert
     ]
 
 
-def _converted(matches: list) -> list[np.ndarray] | None:
+def _converted(matches: list, rows: _TopKRows) -> list[np.ndarray] | None:
     """_convert of the matched lines, or None if the regex or a conversion rejects one."""
     try:
-        return None if None in matches else _convert([m.groups() for m in matches])
+        return None if None in matches else _convert([m.groups() for m in matches], rows)
     except (ValueError, OverflowError):
         return None
 
 
-def _concatenated(parts: list[list[np.ndarray]]) -> TraceColumns:
-    return _columns(*(np.concatenate(arrays) for arrays in zip(*parts or [_convert([])])))
+def _concatenated(parts: list[list[np.ndarray]], rows: _TopKRows) -> TraceColumns:
+    *fields, ids = (np.concatenate(arrays) for arrays in zip(*parts or [_convert([], rows)]))
+    return _columns(*fields, *rows.gather(ids))
 
 
 def read_trace(source: str | Path) -> TraceFile:
@@ -444,22 +515,24 @@ def read_trace(source: str | Path) -> TraceFile:
         return f"record {i + 1} (line {linenos[i]})"
 
     parts: list[list[np.ndarray]] = []
+    rows = _TopKRows()
     # converted a chunk at a time, which bounds the field strings held at once,
     # and a line at a time in a chunk with a line the regex or a conversion rejects
     for start in range(0, len(body), _CHUNK):
         matches = list(map(_RECORD.fullmatch, body[start : start + _CHUNK]))
-        chunk = _converted(matches)
+        chunk = _converted(matches, rows)
         if chunk is not None:
             parts.append(chunk)
             continue
         for i, match in enumerate(matches, start):
-            line = _converted([match])
+            line = _converted([match], rows)
             if line is None:
-                _check(_concatenated(parts), vocab_size, where)  # an earlier record's fault comes first
+                # an earlier record's fault comes first
+                _check(_concatenated(parts, rows), vocab_size, where)
                 _record_columns([_line_row(body[i], where(i))], vocab_size, lambda _: where(i))
                 raise TraceFormatError(f"{where(i)}: does not match the record grammar")
             parts.append(line)
-    columns = _concatenated(parts)
+    columns = _concatenated(parts, rows)
     _check(columns, vocab_size, where)
     header = TraceHeader(vocab_size=vocab_size, producer=producer)
     return _trace_from_columns(header, columns)
@@ -530,8 +603,11 @@ class TraceRecorder:
         logits = np.concatenate(self._logits) if n else np.zeros(0)
         if self._distinct < n:  # some records share a row: gather each record's top-k
             tokens, logits = (a.reshape(-1, self.top_k)[list(row)].ravel() for a in (tokens, logits))
+        # a float is its own float64; anything else goes to the check as given
+        exact = isinstance(self.temperature, float)
+        temp = np.full(n, self.temperature, dtype=np.float64 if exact else object)
         columns = _handed_in(
-            step, ctx, np.full(n, self.temperature, dtype=np.float64), draft,
+            step, ctx, temp, draft,
             np.full(n, self.top_k, dtype=np.int64), tokens, logits,
             self.vocab_size, lambda i: f"record {i + 1}",
         )

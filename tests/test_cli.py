@@ -338,6 +338,9 @@ class TestExitCodes:
             (["replay", "TRACE", "--cost-ratio", "nan"], None, "cost_ratio"),
             (["run"], {"mode": "tree", "tree_top_k": 1000}, "tree_top_k"),
             (["run"], {"mode": "tree", "tree_top_k": 2, "k": 40}, "tree_top_k"),
+            (["run"], {"repetitions": 2**63}, "repetitions"),
+            (["run"], {"target": {"order": 1025}}, "target.order"),
+            (["record"], {"target": {"order": 2**63}}, "target.order"),
         ],
     )
     def test_bad_field_is_2_and_named(self, argv, doc, name, tmp_path, capsys):
@@ -631,5 +634,69 @@ def test_argv_edge_values_exit_with_a_documented_code(recorded_trace, command, d
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    event(f"{command} exit {code}")
+
+
+# spec document values as JSON text: edge numbers (Python's json reads NaN,
+# Infinity and 1e999, which is inf), wrong JSON types and a few ordinary ones
+SPEC_EDGES = ["NaN", "Infinity", "-Infinity", "1e999", "-0.0", "5e-324", str(2**63), str(2**1000),
+              "-1", "0", "1.5", "true", "null", '"7"', '"x"', "[]", "{}", "[0.9, 0.9]"]
+# each key's values, drawn three times as often as the edges: most of them valid
+SPEC_KEYS = {
+    "": {"policy": ['"margin"', '"strict"'], "theta": ["0.9", "1", "[0.5, 1]", "5e-324"],
+         "k": ["1", "3", "[1, 3]"], "temperature": ["0.5", "1", "[0.5, 1]", "5e-324"],
+         "draft_mode": ['"greedy"', '"sample"'], "mode": ['"chain"', '"tree"'],
+         "tree_top_k": ["1", "2", "3"], "stop_token": ["null", "0", "5"],
+         "cost_ratio": ["0", "0.5"], "repetitions": ["1", "2"], "seed": ["0", str(2**63 - 1)],
+         "target": [], "draft": [], "θ": []},
+    "target": {"seed": ["1", str(-(2**63))], "vocab_size": ["2", "3", "64"],
+               "order": ["1", "2", "3"], "logit_offset": ["0.5", "-3"], "logit_spread": ["0.5", "2"],
+               "vöcab_size": []},
+    "draft": {"noise_seed": ["7"], "noise_scale": ["0", "0.5"], "nöise_scale": []},
+}
+# always given, so that every run is short: 50 or below, or an edge that is refused
+SPEC_MAX_TOKENS = ["1", "20", "50"]
+ONE_IN_FOUR = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def spec_objects(draw, prefix: str = "") -> str:
+    """A JSON object of the spec's keys at `prefix` (unknown non-ASCII keys
+    among them), sometimes with a key repeated, each key written as ASCII or
+    not; `target` and `draft` hold objects or a wrong type."""
+    keys = draw(st.lists(st.sampled_from(sorted(SPEC_KEYS[prefix])), max_size=4, unique=True))
+    if keys and draw(ONE_IN_FOUR):
+        keys.append(draw(st.sampled_from(keys)))
+    pairs = []
+    for key in keys:
+        edge = draw(ONE_IN_FOUR)
+        if key in SPEC_KEYS and not edge:
+            value = draw(spec_objects(key))
+        elif SPEC_KEYS[prefix][key] and not edge:
+            value = draw(st.sampled_from(SPEC_KEYS[prefix][key]))
+        else:
+            value = draw(st.sampled_from(SPEC_EDGES))
+        pairs.append(f"{json.dumps(key, ensure_ascii=draw(st.booleans()))}: {value}")
+    if not prefix:
+        refused = sorted(set(SPEC_EDGES) - {str(2**63), str(2**1000)})  # as max_tokens
+        value = draw(st.sampled_from(refused if draw(ONE_IN_FOUR) else SPEC_MAX_TOKENS))
+        pairs.insert(draw(st.integers(0, len(pairs))), f'"max_tokens": {value}')
+    return "{" + ", ".join(pairs) + "}"
+
+
+@pytest.mark.filterwarnings("error")
+@given(command=st.sampled_from(["run", "record"]), text=spec_objects())
+@settings(max_examples=500, deadline=None)
+def test_spec_documents_exit_0_or_2(command, text):
+    """Every spec document runs or is refused with exit 2; no exception or
+    warning escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--spec", str(spec), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
     event(f"{command} exit {code}")

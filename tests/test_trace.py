@@ -213,6 +213,14 @@ class TestValidation:
             TraceFile(TraceHeader(64), [rec])
         assert str(new.value) == message
 
+    @pytest.mark.parametrize("top_k", [((1,), (2,)), ((3, 2.5, 0), (1, 1.25)), 5],
+                             ids=["one-tuples", "a-3-tuple", "an-int"])
+    def test_top_k_that_is_not_pairs_names_its_record(self, top_k):
+        records = [make_record(), make_record(top_k=top_k)]
+        message = f"record 2: top-k {top_k!r} is not a list of (token, logit) pairs"
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
+            TraceFile(TraceHeader(64), records)
+
     def test_value_that_is_not_an_integer_is_named_in_file_order(self):
         """The first bad record wins, whichever rule it breaks, and a record
         with several such values names the first in line order."""
@@ -358,6 +366,31 @@ class TestRecorder:
         rec(0, np.zeros(8), 1, 0)
         rec(step, np.arange(8.0), draft, ctx)
         with pytest.raises(TraceFormatError, match=re.escape(f"record 2: {message}")):
+            rec.to_trace()
+
+    @pytest.mark.parametrize(
+        "temperature", ["1", None, 10**400, 0.0, -1, math.nan, 1, np.float32(0.5)],
+        ids=["str", "None", "10**400", "0.0", "-1", "nan", "1", "float32"],
+    )
+    def test_temperature_is_checked_as_trace_file_checks_it(self, temperature):
+        """Refused with the message TraceFile gives for the same record, or
+        recorded as the column TraceFile holds."""
+        rec = TraceRecorder(vocab_size=8, temperature=temperature, top_k=2)
+        rec(0, np.arange(8.0), 1, 5)
+        given = [TraceRecord(0, ((7, 7.0), (6, 6.0)), temperature, 1, 5)]
+        try:
+            expected = TraceFile(TraceHeader(8), given).columns.temp
+        except TraceFormatError as exc:
+            with pytest.raises(TraceFormatError, match=re.escape(str(exc))):
+                rec.to_trace()
+        else:
+            assert rec.to_trace().columns.temp.tobytes() == expected.tobytes()
+
+    def test_a_string_temperature_is_named(self):
+        rec = TraceRecorder(vocab_size=8, temperature="1")
+        rec(0, np.arange(8.0), None, 0)
+        message = "record 1: temperature '1' is not a float64 number"
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
             rec.to_trace()
 
     @given(

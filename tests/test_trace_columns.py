@@ -2,8 +2,9 @@
 against the per-record ones they replaced (`trace_oracle`).
 
 On valid traces (ragged top-k widths, logit ties, z1 <= 0, -0.0,
-subnormals) and on single-line mutations of them, `read_trace` must return
-the oracle's records bit for bit or raise the oracle's message. The one
+subnormals), on traces whose top-k rows repeat in one or several spellings,
+and on single-line mutations of both, `read_trace` must return the
+oracle's records bit for bit or raise the oracle's message. The one
 deliberate difference is the strict integer grammar: a step, ctx, draft or
 top-k token that `int()` accepts but that is not ASCII decimal digits, a
 step of 2^63 or more, or a ctx of 2^64 or more, is rejected naming its
@@ -16,8 +17,9 @@ import random
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import trace_oracle
@@ -82,9 +84,9 @@ FIELDS = ("step", "ctx", "temp", "draft", "topk")
 
 
 @st.composite
-def mutated(draw) -> tuple[list[str], int]:
+def mutated(draw, valid=traces()) -> tuple[list[str], int]:
     """A valid trace with one record line mutated, and that line's index."""
-    lines = draw(traces())
+    lines = draw(valid)
     i = draw(st.integers(1, len(lines) - 1))  # a record line; the header reader is unchanged
     line = lines[i]
     kind = draw(st.sampled_from(["value"] * 4 + ["char"] * 2 + ["swap"] * 2 + ["drop", "extra"]))
@@ -236,11 +238,7 @@ def test_more_distinct_rows_than_a_chunk_write_as_the_oracle_does(tmp_path):
     assert (tmp_path / "new.trace").read_bytes() == (tmp_path / "old.trace").read_bytes()
 
 
-@given(case=mutated())
-@settings(max_examples=1000, deadline=None)
-def test_mutated_traces_fail_as_the_oracle_does(tmp_path_factory, case):
-    lines, i = case
-    path = write_lines(tmp_path_factory, lines)
+def assert_fails_as_the_oracle_does(path, lines, i):
     new = outcome(read_columnar, path)
     if rejected_on_purpose(lines[i]):
         record = sum(1 for line in lines[1 : i + 1] if line)
@@ -248,6 +246,120 @@ def test_mutated_traces_fail_as_the_oracle_does(tmp_path_factory, case):
         assert new[1].startswith(f"record {record} (line {i + 1}): ")
     else:
         assert new == oracle_outcome(path)
+
+
+@given(case=mutated())
+@settings(max_examples=1000, deadline=None)
+def test_mutated_traces_fail_as_the_oracle_does(tmp_path_factory, case):
+    lines, i = case
+    assert_fails_as_the_oracle_does(write_lines(tmp_path_factory, lines), lines, i)
+
+
+# spellings of one value: read_trace keys a top-k row by its text, so each
+# spelling is a row of its own, which must parse to the same bits
+SPELLINGS = [(1.5, ["1.5", "1.50", "15e-1"]), (0.0, ["0", "0.0", "0e9"]), (-0.0, ["-0", "-0.0"]),
+             (-2.25, ["-2.25", "-225e-2"]), (2.0, ["2", "2.0", "20e-1"]),
+             (1e300, ["1e300", "1E+300"]), (5e-324, ["5e-324", "4.9406564584124654e-324"])]
+
+
+@st.composite
+def repeated_traces(draw) -> list[str]:
+    """A valid trace's lines whose records draw their top-k texts from a pool
+    of 1 to 4 rows of ragged widths: the same rows repeated, and spelled
+    differently (1.5, 1.50 and 15e-1; -0 beside 0)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = []
+    for _ in range(rng.randint(1, 4)):
+        width = rng.randint(2, 6)
+        entries = sorted(zip(rng.sample(range(VOCAB), width), rng.choices(SPELLINGS, k=width)),
+                         key=lambda e: (-e[1][0], e[0]))
+        for _ in range(rng.randint(1, 3)):  # text twins of the row
+            pool.append(",".join(f"{tok}:{rng.choice(texts)}" for tok, (_, texts) in entries))
+    lines = [f"specverify-trace v1 vocab={VOCAB} producer=repeated rows"]
+    for step in range(draw(st.integers(1, 30))):
+        draft = rng.choice(["-", rng.randrange(VOCAB)])
+        lines.append(f"step={step} ctx=- temp={rng.choice(['1', '0.5', '0.50'])} draft={draft} "
+                     f"topk={rng.choice(pool)}")
+    return lines
+
+
+def small_bounds(chunk: int, entries: int):
+    """read_trace with `_CHUNK` lines a chunk and the top-k texts it holds
+    cleared once they reach `entries` entries, so rows are parsed again."""
+    return mock.patch.multiple(trace_module, _CHUNK=chunk, _BLOCK_FLOATS=entries)
+
+
+@given(lines=repeated_traces(), chunk=st.integers(1, 8), entries=st.integers(1, 24))
+@settings(max_examples=300, deadline=None)
+def test_repeated_rows_read_as_the_oracle_does(tmp_path_factory, lines, chunk, entries):
+    path = write_lines(tmp_path_factory, lines)
+    with small_bounds(chunk, entries):
+        new = outcome(read_columnar, path)
+    assert new[0] == "ok"
+    assert new == oracle_outcome(path)
+    assert outcome(read_columnar, path) == new  # at the real bounds
+
+
+@given(case=mutated(repeated_traces()), chunk=st.integers(1, 8), entries=st.integers(1, 24))
+@settings(max_examples=500, deadline=None)
+def test_mutated_repeats_fail_as_the_oracle_does(tmp_path_factory, case, chunk, entries):
+    """A mutated line after repeats of valid rows, its own text among them
+    when a field other than top-k is mutated, is named as the oracle names it."""
+    lines, i = case
+    path = write_lines(tmp_path_factory, lines)
+    with small_bounds(chunk, entries):
+        assert_fails_as_the_oracle_does(path, lines, i)
+    assert_fails_as_the_oracle_does(path, lines, i)
+
+
+# the top-k list of the README grammar, as one regex
+TOPK_GRAMMAR = re.compile(r"[0-9]+:[^ ,:]+(?:,[0-9]+:[^ ,:]+)*")
+# fields that the grammar and int() or float() accept, three times as often
+# as those that one of them refuses
+TOKENS = ["0", "7", "12"] * 3 + ["", "+3", "-3", "1_0", "٣", "²", "\t3", "99999999999999999999"]
+LOGITS = ["1.5", "-0", "3", "2e3", "nan", "٣", "\t1", "1_0"] * 3 + ["", "é", ".", "-", "1e"]
+
+
+@st.composite
+def top_k_texts(draw) -> str:
+    """A top-k text of such fields, then perhaps a ',' or ':' inserted, a
+    character dropped, or a ':' moved, which keeps the count of each
+    separator."""
+    entries = draw(st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(LOGITS)),
+                            min_size=1, max_size=4))
+    text = ",".join(f"{tok}:{z}" for tok, z in entries)
+    edit = draw(st.sampled_from(["", "", ",", ":", "drop", "move"]))
+    if edit == "move":
+        colon = draw(st.sampled_from([i for i, c in enumerate(text) if c == ":"]))
+        text, edit = text[:colon] + text[colon + 1 :], ":"
+    at = draw(st.integers(0, len(text)))
+    text = text[:at] + text[at + 1 :] if edit == "drop" else text[:at] + edit + text[at:]
+    return text or ":"
+
+
+@given(texts=st.lists(top_k_texts(), min_size=1, max_size=2))
+@example(texts=["1:2:3,4"])  # as many ':' as entries, but not one in each
+@example(texts=["70,1:2:3"])
+@example(texts=["1:2:3", "4"])
+@settings(max_examples=500, deadline=None)
+def test_top_k_texts_are_accepted_as_the_grammar_and_conversions_accept_them(texts):
+    """The check on new top-k texts accepts a chunk of them exactly when the
+    grammar's regex matches each and int() and float() convert every entry."""
+    try:
+        ok = all(map(TOPK_GRAMMAR.fullmatch, texts))
+        if ok:
+            entries = ",".join(texts).replace(":", ",").split(",")
+            np.array([int(tok) for tok in entries[0::2]], dtype=np.int64)
+            [float(z) for z in entries[1::2]]
+    except (ValueError, OverflowError):
+        ok = False
+    try:
+        trace_module._TopKRows().ids(texts)
+        new = True
+    except (ValueError, OverflowError):
+        new = False
+    event(f"accepted {ok}")
+    assert new == ok
 
 
 @given(lines=traces(), theta=st.sampled_from([0.5, 0.9, 0.95, 1.0]))
