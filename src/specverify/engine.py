@@ -11,6 +11,14 @@ i.e. tau / (1 + K * c_draft / c_target); no wall-clock claims are made.
 Cycles are atomic: decode stops after the first cycle that reaches max_tokens
 committed, so the output can exceed max_tokens by up to K tokens. This keeps
 tau exact (e.g. the K+1 ceiling with a perfectly aligned drafter).
+
+A cycle that draws no random numbers (greedy chain drafting, and tree mode) is
+a function of its context tail alone, and a greedy decode falls into a
+periodic orbit of few tails. So decode decides each distinct deterministic
+cycle once: it keeps the cycle's result, and with a recorder the target
+window id, chosen draft and packed draft of each of its K+1 records, keyed
+by the tail, and replays them when the tail comes back. The memo is one
+decode's, and holds at most CYCLE_MEMO_TOKENS window tokens.
 """
 
 from __future__ import annotations
@@ -30,6 +38,11 @@ from .verify import CycleResult, Decision, VerificationPolicy, verify_tree
 from .verify import verify_chain  # noqa: F401  (perfbench traces engine.verify_chain)
 
 DEFAULT_COST_RATIO = 0.05
+# Window tokens the cycle memo of one decode holds before it is cleared: an
+# entry counts its tail and its K+1 window ids as `window` tokens each. At the
+# default order 2 and K 7 that is 3640 cycles; an entry that alone exceeds it
+# turns the memo off.
+CYCLE_MEMO_TOKENS = 2**16
 
 # recorder(position, logits, chosen_draft, context_hash) — see trace.TraceRecorder
 Recorder = Callable[[int, np.ndarray, int | None, int], None]
@@ -208,7 +221,8 @@ def decode(
 
     window = max(target.order, draft.order)
     reader = window_reader(target)
-    step, top_two_at = reader.step, reader.top_two_at
+    step, top_two_at, logits_at = reader.step, reader.top_two_at, reader.logits_at
+    k, policy = config.k, config.policy
     ctx = list(prompt)
     hasher = context_hasher(ctx) if recorder is not None else None
     gen = np.random.default_rng(config.seed)
@@ -216,39 +230,56 @@ def decode(
     position = 0
     done = False
     if config.mode == "chain":
-        steps_per_cycle = config.k
+        steps_per_cycle = k
     else:
         # build_draft_tree gives a node at most vocab_size children
         width = min(config.tree_top_k, target.vocab_size)
-        steps_per_cycle = sum(width**d for d in range(1, config.k + 1))
+        steps_per_cycle = sum(width**d for d in range(1, k + 1))
+    # sampled drafting draws from gen, so only greedy chain and tree cycles are kept
+    deterministic = config.mode == "tree" or config.draft_mode == "greedy"
+    cap = CYCLE_MEMO_TOKENS // ((k + 2) * window)
+    memo: dict[tuple[int, ...], tuple] | None = {} if deterministic and cap else None
+
+    def decide(tail: list[int]) -> tuple[CycleResult, list]:
+        """A cycle's result, and with a recorder its K+1 records'
+        (target window id, chosen draft, packed draft)."""
+        if config.mode == "tree":
+            tree = build_draft_tree(draft, tail, config.tree_top_k, k)
+            return verify_tree(tree, target, tail, policy), []
+        drafted = draft_chain(draft, tail, k, config.temperature, config.draft_mode, gen)
+        # the target's window ids at the K+1 positions: the tail, then each draft
+        w = reader.fold(tail)
+        ids = [w]
+        for tok in drafted:
+            w = step(w, tok)
+            ids.append(w)
+        tops = [top_two_at(w) for w in ids]
+        # through the module, so a wrapper on verify.verify_top_two_chain sees live cycles
+        result = verify.verify_top_two_chain(drafted, tops[:k], policy, tops[k].v1)
+        rows = []
+        if recorder is not None:
+            rows = [(w, tok, pack_tokens((tok,))) for w, tok in zip(ids, drafted)]
+            rows.append((ids[k], None, b""))
+        return result, rows
 
     while not done and len(ctx) - len(prompt) < config.max_tokens:
         tail = ctx[-window:]
-        if config.mode == "chain":
-            drafted = draft_chain(
-                draft, tail, config.k, config.temperature, config.draft_mode, gen
-            )
-            # the target's window ids at the K+1 positions: the tail, then each draft
-            w = reader.fold(tail)
-            ids = [w]
-            for tok in drafted:
-                w = step(w, tok)
-                ids.append(w)
-            tops = [top_two_at(w) for w in ids]
-            if recorder is not None:
-                prefix = hasher.copy()
-                for i, w in enumerate(ids):
-                    chosen = drafted[i] if i < config.k else None
-                    recorder(position + i, reader.logits_at(w), chosen, hash_value(prefix))
-                    prefix.update(pack_tokens(drafted[i : i + 1]))
-            # through the module, so a wrapper on verify.verify_top_two_chain sees live cycles
-            result = verify.verify_top_two_chain(
-                drafted, tops[: config.k], config.policy, tops[config.k].v1
-            )
-            position += config.k + 1
-        else:
-            tree = build_draft_tree(draft, tail, config.tree_top_k, config.k)
-            result = verify_tree(tree, target, tail, config.policy)
+        cycle = None
+        if memo is not None:
+            cycle = memo.get(key := tuple(tail))
+        if cycle is None:
+            cycle = decide(tail)
+            if memo is not None:
+                if len(memo) >= cap:
+                    memo.clear()
+                memo[key] = cycle
+        result, rows = cycle
+        if recorder is not None:
+            prefix = hasher.copy()
+            for i, (w, chosen, packed) in enumerate(rows, position):
+                recorder(i, logits_at(w), chosen, hash_value(prefix))
+                prefix.update(packed)
+            position += k + 1
 
         results.append(result)
         if cycle_sink is not None:
@@ -263,4 +294,4 @@ def decode(
 
     out = ctx[len(prompt) :]
     draft_steps = steps_per_cycle * len(results)
-    return out, metrics_from_cycles(results, len(out), draft_steps, cost, config.k)
+    return out, metrics_from_cycles(results, len(out), draft_steps, cost, k)

@@ -38,6 +38,7 @@ from .models import (
     PerturbedDraftModel,
     SyntheticTargetConfig,
     SyntheticTargetModel,
+    check_noise_range,
     check_seed,
 )
 from .verify import DEFAULT_THETA, VerificationPolicy
@@ -96,6 +97,7 @@ class ExperimentSpec:
         if self.stop_token is not None and not 0 <= self.stop_token < vocab:
             raise ValueError(f"field 'stop_token': {self.stop_token} not in [0, {vocab})")
         check_seed("seed", self.seed)
+        check_noise_range(self.target, self.draft)
         for theta, k, temperature in product(self.theta, self.k, self.temperature):
             self.decode_config(theta, k, temperature, seed=0)  # row seeds are always in range
 

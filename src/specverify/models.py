@@ -49,6 +49,14 @@ MAX_ORDER = 1024
 # Floats each model instance memoises, logits and CDFs (8 bytes each, 4 MiB):
 # 4096 windows at the default vocabulary of 64, every full window at order 2.
 MEMO_FLOATS = 2**19
+# The largest vocabulary, 262144 tokens: the memo holds one window of it.
+MAX_VOCAB = MEMO_FLOATS // 2
+# The least and the greatest Gumbel draw behind a target logit: its uniform is
+# clipped below at 1e-12 and is at most 1 - 2^-53 (see _window_logits).
+_GUMBEL_RANGE = (-np.log(-np.log(np.array([1e-12, np.nextafter(1.0, 0.0)])))).tolist()
+# numpy's ziggurat standard_normal stays below 12.23 in magnitude (a tail
+# draw r + x, r = 3.654, needs x^2 < 2 * 53 ln 2); 16 leaves a margin.
+_NORMAL_BOUND = 16.0
 
 _TARGET_SALT = 0x54474554  # "TGET"
 _DRAFT_SALT = 0x44524654  # "DRFT"
@@ -92,6 +100,10 @@ class SyntheticTargetConfig:
         check_seed("seed", self.seed)
         if self.vocab_size < 2:
             raise ValueError("field 'vocab_size': must be >= 2")
+        if self.vocab_size > MAX_VOCAB:
+            raise ValueError(
+                f"field 'vocab_size': {self.vocab_size} exceeds the {MAX_VOCAB}-token limit"
+            )
         if self.order < 1:
             raise ValueError("field 'order': must be >= 1")
         if self.order > MAX_ORDER:
@@ -100,6 +112,22 @@ class SyntheticTargetConfig:
             raise ValueError(f"field 'logit_offset': {self.logit_offset} is not finite")
         if not 0 < self.logit_spread < np.inf:
             raise ValueError(f"field 'logit_spread': {self.logit_spread} must be finite and > 0")
+        # checked once here, so that deriving a window never overflows; float
+        # arithmetic gives the bits numpy's does, and inf rather than a warning
+        if not np.isfinite(float(self.logit_spread) * _GUMBEL_RANGE[1]):
+            raise ValueError(f"field 'logit_spread': {self.logit_spread} overflows the logits")
+        if not np.isfinite(self.logit_range).all():
+            raise ValueError(
+                f"field 'logit_offset': {self.logit_offset} overflows the logits "
+                f"at logit_spread {self.logit_spread}"
+            )
+
+    @property
+    def logit_range(self) -> tuple[float, float]:
+        """The least and the greatest logit the target can draw."""
+        offset, spread = float(self.logit_offset), float(self.logit_spread)
+        low, high = (offset + spread * g for g in _GUMBEL_RANGE)
+        return low, high
 
 
 @dataclass(frozen=True)
@@ -111,6 +139,17 @@ class PerturbedDraftConfig:
         check_seed("noise_seed", self.noise_seed)
         if not 0 <= self.noise_scale < np.inf:
             raise ValueError(f"field 'noise_scale': {self.noise_scale} must be finite and >= 0")
+
+
+def check_noise_range(target: SyntheticTargetConfig, draft: PerturbedDraftConfig) -> None:
+    """Refuse a noise_scale whose draft logits, a target logit plus
+    noise_scale times a standard normal draw, could overflow."""
+    largest = max(map(abs, target.logit_range))
+    if not np.isfinite(largest + float(draft.noise_scale) * _NORMAL_BOUND):
+        raise ValueError(
+            f"field 'draft.noise_scale': {draft.noise_scale} overflows the draft logits "
+            f"at target logits up to {largest:g}"
+        )
 
 
 def pack_tokens(tokens: Sequence[int]) -> bytes:
@@ -307,6 +346,7 @@ class PerturbedDraftModel(_MemoisedModel):
     """Draft model: target logits plus seeded Gaussian noise of scale sigma."""
 
     def __init__(self, target: SyntheticTargetModel, config: PerturbedDraftConfig):
+        check_noise_range(target.config, config)
         self.target = target
         self.config = config
         self._memo: OrderedDict[int, list] = OrderedDict()

@@ -47,8 +47,9 @@ DEFAULT_TOP_K = 10
 _MAGIC = "specverify-trace"
 _FIELDS = ("step", "ctx", "temp", "draft", "topk")
 _DIGITS = re.compile(r"[0-9]+")
-_CHUNK = 1024  # record lines converted at a time, and top-k texts write_trace holds
-# logits a recorder holds unranked at once, and top-k entries whose texts read_trace holds
+_CHUNK = 1024  # record lines converted, or formatted, at a time
+# logits a recorder holds unranked at once, and top-k entries whose texts
+# read_trace and write_trace hold
 _BLOCK_FLOATS = 2**17
 # one record line of the README grammar, its top-k list any text, which
 # _TopKRows checks once per distinct text; a float is any field text, so a
@@ -307,13 +308,15 @@ def _trace_from_columns(header: TraceHeader, columns: TraceColumns) -> TraceFile
 def write_trace(trace: TraceFile, destination: str | Path) -> None:
     """Write a trace; round-trips bit-exactly through read_trace. Its records
     were validated when they came into the TraceFile. Each distinct top-k
-    row, keyed by its token and logit bytes, is formatted once while at most
-    `_CHUNK` rows' texts are held, and each distinct temperature once a chunk."""
+    row, keyed by its token and logit bytes, is formatted once while the
+    texts held are below `_BLOCK_FLOATS` top-k entries (then they are
+    dropped), and each distinct temperature once a chunk."""
     if len(f"{trace.header.producer}.".splitlines()) > 1:  # as read_trace splits lines
         raise TraceFormatError(f"producer {trace.header.producer!r} contains a line break")
     c = trace.columns
     templates = {w: ",".join(["%d:%.17g"] * w) for w in np.unique(np.diff(c.offsets)).tolist()}
     texts: dict[bytes, str] = {}
+    held = 0  # top-k entries of the rows in texts
     with open(destination, "w", encoding="utf-8") as fh:
         fh.write(
             f"{_MAGIC} v{FORMAT_VERSION} "
@@ -332,9 +335,10 @@ def write_trace(trace: TraceFile, destination: str | Path) -> None:
             for a, b in zip(ends, ends[1:]):
                 text = texts.get(key := bits[16 * a : 16 * b])
                 if text is None:
-                    if len(texts) == _CHUNK:
-                        texts.clear()
+                    if held >= _BLOCK_FLOATS:
+                        texts, held = {}, 0
                     text = texts[key] = templates[b - a] % tuple(entries[2 * a : 2 * b])
+                    held += b - a
                 topk.append(text)
             # a temperature is > 0 and finite, so equal values have equal bits
             temps = c.temp[rows].tolist()
@@ -456,10 +460,11 @@ def _convert(groups: list[tuple[str, ...]], rows: _TopKRows) -> list[np.ndarray]
     temps = {text: float(text) for text in set(temp)}  # each distinct text once
     return [
         np.fromiter(map(int, step), np.int64, n),
-        np.fromiter((0 if c == "-" else int(c) for c in ctx), np.uint64, n),
-        np.fromiter((c != "-" for c in ctx), bool, n),
+        # an absent ctx or draft, "-", reads as 0 or -1; these maps run in C
+        np.fromiter(map(int, map({"-": "0"}.get, ctx, ctx)), np.uint64, n),
+        np.fromiter(map("-".__ne__, ctx), bool, n),
         np.fromiter(map(temps.__getitem__, temp), np.float64, n),
-        np.fromiter((-1 if d == "-" else int(d) for d in draft), np.int64, n),
+        np.fromiter(map(int, map({"-": "-1"}.get, draft, draft)), np.int64, n),
         rows.ids(topk),  # last, so that rows are added only for lines that convert
     ]
 

@@ -341,8 +341,15 @@ class TestExitCodes:
             (["run"], {"repetitions": 2**63}, "repetitions"),
             (["run"], {"target": {"order": 1025}}, "target.order"),
             (["record"], {"target": {"order": 2**63}}, "target.order"),
+            (["run"], {"target": {"vocab_size": 2**18 + 1}}, "target.vocab_size"),
+            (["record"], {"target": {"vocab_size": 2**63}}, "target.vocab_size"),
+            # finite values whose logits overflow the float range
+            (["run"], {"target": {"logit_spread": 1e308}}, "target.logit_spread"),
+            (["run"], {"target": {"logit_offset": 1.7e308, "logit_spread": 1e306}}, "target.logit_offset"),
+            (["run"], {"draft": {"noise_scale": 1e308}}, "draft.noise_scale"),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_field_is_2_and_named(self, argv, doc, name, tmp_path, capsys):
         if doc is not None:
             (tmp_path / "bad.json").write_text(json.dumps(doc))

@@ -1,10 +1,13 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trace_oracle
+from specverify import engine, verify
 from specverify.engine import (
     CostModel,
     DecodeConfig,
@@ -17,6 +20,8 @@ from specverify.models import (
     AdversarialDraftModel,
     PerturbedDraftConfig,
     PerturbedDraftModel,
+    SyntheticTargetConfig,
+    SyntheticTargetModel,
     draft_chain,
 )
 from specverify.verify import VerificationPolicy
@@ -353,3 +358,67 @@ class TestGreedyDecode:
             greedy_decode(target, [], 10)
         with pytest.raises(ValueError):
             greedy_decode(target, [1], 0)
+
+
+class TestCycleMemo:
+    """decode decides each distinct greedy-chain or tree cycle once, by its
+    context tail; the oracle's decode decides every cycle anew."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_memo_free_decode(self, data):
+        vocab = data.draw(st.sampled_from([2, 3, 5, 8, 64]), label="vocab")
+        order = data.draw(st.integers(1, 3), label="order")
+        # at spread 1e-300 every logit is the offset: all tokens tie
+        spread = data.draw(st.sampled_from([2.0, 1e-300]), label="spread")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        target = SyntheticTargetModel(SyntheticTargetConfig(seed, vocab, order, logit_spread=spread))
+        if data.draw(st.booleans(), label="score-only draft"):
+            draft_order = data.draw(st.integers(1, 4), label="draft order")
+            draft = CountingModel(SyntheticTargetModel(SyntheticTargetConfig(seed + 1, vocab, draft_order)))
+        else:
+            noise = data.draw(st.sampled_from([0.0, 0.5, 3.0]), label="noise_scale")
+            draft = PerturbedDraftModel(target, PerturbedDraftConfig(seed + 2, noise))
+        mode = data.draw(st.sampled_from(["greedy", "sample", "tree"]), label="mode")
+        # tree_top_k up to above the vocabulary, below the leaf limit
+        width = data.draw(st.sampled_from([1, 2, 3, vocab + 1]), label="tree_top_k")
+        fields = {"draft_mode": mode} if mode != "tree" else {"mode": "tree", "tree_top_k": width}
+        k = data.draw(st.integers(1, 6 if mode != "tree" else 3 if width < 10 else 2), label="k")
+        kind = data.draw(st.sampled_from(["strict", "margin"]), label="policy")
+        theta = data.draw(st.sampled_from([0.5, 0.9, 1.0]), label="theta")
+        stop = data.draw(st.none() | st.integers(0, vocab - 1), label="stop_token")
+        config = DecodeConfig(
+            VerificationPolicy.from_name(kind, theta), k=k, seed=seed,
+            max_tokens=data.draw(st.integers(1, 40 if mode == "tree" else 80)),
+            temperature=data.draw(st.sampled_from([0.3, 1.0])), stop_token=stop, **fields)
+        prompt = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=order + 2))
+        recording = mode != "tree" and data.draw(st.booleans(), label="recorder")
+        # a memo of 0 to 3 cycles at most, or the default one
+        window = max(order, draft.order)
+        tokens = data.draw(st.sampled_from([0, 1, 2, 3]).map(lambda n: n * (k + 2) * window)
+                           | st.just(engine.CYCLE_MEMO_TOKENS), label="memo tokens")
+
+        def run(decode):
+            calls, sink = [], []
+
+            def recorder(position, logits, chosen, context_hash):
+                calls.append((position, logits.tobytes(), chosen, context_hash))
+
+            out = decode(target, draft, config, prompt, recorder=recorder if recording else None,
+                         cycle_sink=sink)
+            return out, sink, calls
+
+        with mock.patch.object(engine, "CYCLE_MEMO_TOKENS", tokens):
+            got = run(decode)
+        assert got == run(trace_oracle.decode)
+
+    @pytest.mark.parametrize("draft_mode, decided", [("greedy", "fewer"), ("sample", "all")])
+    def test_only_deterministic_cycles_are_decided_once(self, draft_mode, decided, monkeypatch):
+        calls = []
+        original = verify.verify_top_two_chain
+        monkeypatch.setattr(verify, "verify_top_two_chain",
+                            lambda *args: calls.append(1) or original(*args))
+        target, draft = make_pair()
+        cfg = DecodeConfig(policy=MARGIN_09, max_tokens=2000, draft_mode=draft_mode, temperature=0.4)
+        _, m = decode(target, draft, cfg, [1, 2])
+        assert len(calls) < m.cycles / 10 if decided == "fewer" else len(calls) == m.cycles

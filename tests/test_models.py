@@ -67,6 +67,26 @@ class TestSyntheticTarget:
         b = SyntheticTargetModel(SyntheticTargetConfig(seed=2)).score([5, 6])
         assert not np.array_equal(a, b)
 
+    def test_logit_range_bounds_every_logit(self):
+        cfg = SyntheticTargetConfig(seed=3, vocab_size=8, order=1, logit_offset=-1.0, logit_spread=3.0)
+        z = np.concatenate([SyntheticTargetModel(cfg).score([t]) for t in range(8)])
+        low, high = cfg.logit_range
+        assert low <= z.min() and z.max() <= high
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spread_is_refused_where_a_logit_could_overflow(self):
+        # the largest Gumbel draw is 36.7368: a spread of top / 36.74 stays finite
+        top = np.finfo(np.float64).max
+        cfg = SyntheticTargetConfig(seed=1, logit_spread=top / 36.74, logit_offset=0.0)
+        assert np.isfinite(cfg.logit_range).all()
+        assert np.isfinite(SyntheticTargetModel(cfg).score([1, 2])).all()
+        with pytest.raises(ValueError, match="field 'logit_spread'"):
+            SyntheticTargetConfig(seed=1, logit_spread=top / 36.73)
+        with pytest.raises(ValueError, match="field 'logit_offset'"):
+            SyntheticTargetConfig(seed=1, logit_spread=top / 73.5, logit_offset=top / 1.9)
+        with pytest.raises(ValueError, match="field 'vocab_size'.*262144"):
+            SyntheticTargetConfig(seed=1, vocab_size=models.MAX_VOCAB + 1)
+
 
 class TestPerturbedDraft:
     def test_zero_noise_is_bit_identical(self, target):
@@ -80,6 +100,12 @@ class TestPerturbedDraft:
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             PerturbedDraftConfig(noise_seed=1, noise_scale=-0.1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_noise_that_could_overflow_is_refused(self, target):
+        PerturbedDraftModel(target, PerturbedDraftConfig(noise_seed=1, noise_scale=1e307))
+        with pytest.raises(ValueError, match="field 'draft.noise_scale': 2e\\+307"):
+            PerturbedDraftModel(target, PerturbedDraftConfig(noise_seed=1, noise_scale=2e307))
 
     def test_alignment_monotone_in_noise_scale(self):
         contexts = random_contexts(29, 300)

@@ -216,15 +216,17 @@ def repeated_rows(rng: random.Random, distinct: int, records: int) -> list[Trace
 
 
 @given(seed=st.integers(0, 2**32 - 1), distinct=st.integers(1, 12), records=st.integers(0, 40),
-       chunk=st.integers(1, 8))
+       chunk=st.integers(1, 8), entries=st.integers(1, 24))
 @settings(max_examples=300, deadline=None)
-def test_repeated_rows_write_as_the_oracle_does(tmp_path_factory, seed, distinct, records, chunk):
+def test_repeated_rows_write_as_the_oracle_does(tmp_path_factory, seed, distinct, records, chunk,
+                                                entries):
     """Rows repeated verbatim and as zero-sign twins write the oracle's bytes,
-    also with a `_CHUNK` so small that the held row texts are dropped and
-    formatted again many times over."""
+    also with chunks of a few records and the held row texts dropped once
+    they reach so few top-k entries that rows are formatted again many times
+    over."""
     trace = TraceFile(TraceHeader(VOCAB, "rows"), repeated_rows(random.Random(seed), distinct, records))
     path = tmp_path_factory.getbasetemp()
-    with mock.patch.object(trace_module, "_CHUNK", chunk):
+    with mock.patch.multiple(trace_module, _CHUNK=chunk, _BLOCK_FLOATS=entries):
         write_trace(trace, path / "new.trace")
     trace_oracle.write_trace(trace, path / "old.trace")
     assert (path / "new.trace").read_bytes() == (path / "old.trace").read_bytes()
@@ -236,6 +238,23 @@ def test_more_distinct_rows_than_a_chunk_write_as_the_oracle_does(tmp_path):
     write_trace(trace, tmp_path / "new.trace")
     trace_oracle.write_trace(trace, tmp_path / "old.trace")
     assert (tmp_path / "new.trace").read_bytes() == (tmp_path / "old.trace").read_bytes()
+
+
+def test_distinct_rows_past_a_chunk_each_repeated_round_trip(tmp_path):
+    """Each of 1500 distinct rows written twice, 1500 records apart: its text
+    is still held when it comes back, since the texts hold far fewer than
+    `_BLOCK_FLOATS` top-k entries. The bytes are the oracle's and read back
+    bit for bit."""
+    rng = random.Random(16)
+    rows = [tuple(sorted(zip(rng.sample(range(VOCAB), 3), (rng.uniform(-9, 9) for _ in range(3))),
+                         key=lambda e: (-e[1], e[0]))) for _ in range(1500)]
+    assert len(set(rows)) == len(rows) > trace_module._CHUNK
+    records = [TraceRecord(i, row, 0.7, None, i) for i, row in enumerate(rows + rows)]
+    trace = TraceFile(TraceHeader(VOCAB, "repeats"), records)
+    write_trace(trace, tmp_path / "new.trace")
+    trace_oracle.write_trace(trace, tmp_path / "old.trace")
+    assert (tmp_path / "new.trace").read_bytes() == (tmp_path / "old.trace").read_bytes()
+    assert read_trace(tmp_path / "new.trace").records == records
 
 
 def assert_fails_as_the_oracle_does(path, lines, i):

@@ -5,7 +5,8 @@ tests. The reader parses and validates one record at a time with
 `int`/`float` on split fields, the writer validates and formats one record
 at a time, cycles are grouped by a loop over the runs of drafted records,
 replay decides one cycle at a time, and analysis takes a 1-D softmax per
-record.
+record. `decode` is the draft-verify loop with no cycle memo: it drafts,
+scores and verifies every cycle anew, and hashes each record's context whole.
 """
 
 from __future__ import annotations
@@ -17,16 +18,19 @@ import numpy as np
 
 import specverify.trace
 from specverify.analysis import DEFAULT_BINS, AnalysisReport, Histogram, ScatterPoint, _histogram
-from specverify.logits import TopTwo, logit_ratio
+from specverify.engine import CostModel, DecodeConfig, DecodeMetrics, check_prompt, metrics_from_cycles
+from specverify.logits import TopTwo, logit_ratio, top_two
+from specverify.models import build_draft_tree, draft_chain
 from specverify.trace import (
     FORMAT_VERSION,
+    hash_context,
     _MAGIC,
     TraceFile,
     TraceFormatError,
     TraceHeader,
     TraceRecord,
 )
-from specverify.verify import CycleResult, VerificationPolicy, verify_top_two_chain
+from specverify.verify import CycleResult, VerificationPolicy, verify_top_two_chain, verify_tree
 
 
 def softmax(values, temperature: float) -> np.ndarray:
@@ -282,3 +286,52 @@ def analyze_records(
         prob_ratio_hist=_histogram(prob_ratios, bins),
         scatter=tuple(scatter),
     )
+
+
+def decode(
+    target, draft, config: DecodeConfig, prompt: list[int], cost: CostModel = CostModel(),
+    recorder=None, cycle_sink: list[CycleResult] | None = None,
+) -> tuple[list[int], DecodeMetrics]:
+    """`specverify.engine.decode` one cycle at a time: each cycle drafts from
+    the whole context, scores the target at each position with `score`, and
+    verifies, whether or not its context tail was seen before; a record's
+    ctx is `hash_context` of its whole context."""
+    check_prompt(prompt, target.vocab_size)
+    if target.vocab_size != draft.vocab_size:
+        raise ValueError("target and draft must share a vocabulary")
+    if config.stop_token is not None and not 0 <= config.stop_token < target.vocab_size:
+        raise ValueError(f"stop_token {config.stop_token} out of vocabulary range")
+    if recorder is not None and config.mode != "chain":
+        raise ValueError("field 'mode': trace recording requires chain mode")
+    k = config.k
+    ctx = list(prompt)
+    gen = np.random.default_rng(config.seed)
+    results: list[CycleResult] = []
+    position = 0
+    width = min(config.tree_top_k, target.vocab_size)
+    steps_per_cycle = k if config.mode == "chain" else sum(width**d for d in range(1, k + 1))
+    while len(ctx) - len(prompt) < config.max_tokens:
+        if config.mode == "chain":
+            drafted = draft_chain(draft, ctx, k, config.temperature, config.draft_mode, gen)
+            logits = [target.score(ctx + drafted[:i]) for i in range(k + 1)]
+            if recorder is not None:
+                for i, z in enumerate(logits):
+                    chosen = drafted[i] if i < k else None
+                    recorder(position + i, z, chosen, hash_context(ctx + drafted[:i]))
+            position += k + 1
+            tops = [top_two(z) for z in logits]
+            result = verify_top_two_chain(drafted, tops[:k], config.policy, tops[k].v1)
+        else:
+            tree = build_draft_tree(draft, ctx, config.tree_top_k, k)
+            result = verify_tree(tree, target, ctx, config.policy)
+        results.append(result)
+        if cycle_sink is not None:
+            cycle_sink.append(result)
+        committed = list(result.committed_tokens)
+        stop = config.stop_token
+        if stop is not None and stop in committed:
+            ctx += committed[: committed.index(stop) + 1]
+            break
+        ctx += committed
+    out = ctx[len(prompt) :]
+    return out, metrics_from_cycles(results, len(out), steps_per_cycle * len(results), cost, k)
