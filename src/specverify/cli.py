@@ -19,6 +19,7 @@ from .experiment import (
     GRID_AXES,
     ExperimentSpec,
     build_point,
+    replay_row,
     rows_to_csv,
     spec_from_dict,
     spec_from_file,
@@ -154,15 +155,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     k, cost = spec.k[0], CostModel(c_draft=spec.cost_ratio)
     rows = []
     for theta in spec.theta:
-        policy = VerificationPolicy.from_name(spec.policy, theta)
-        metrics = replay_verify(trace, policy, k, cost)
-        rows.append({
-            "policy": spec.policy,
-            "theta": theta,
-            "k": k,
-            "cost_ratio": spec.cost_ratio,
-            **dataclasses.asdict(metrics),
-        })
+        metrics = replay_verify(trace, VerificationPolicy.from_name(spec.policy, theta), k, cost)
+        rows.append(replay_row(spec, theta, k, metrics))
     taus = ",".join(f"{row['tau']:.4f}" for row in rows)  # in grid order
     summary = f"tau={taus} over {metrics.cycles} cycles"
     if spec.out is not None:

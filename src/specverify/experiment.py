@@ -255,6 +255,12 @@ def run_point(
     return {column: values[column] for column in CSV_COLUMNS}
 
 
+def replay_row(spec: ExperimentSpec, theta: float, k: int, metrics: DecodeMetrics) -> dict:
+    """The CSV row of a trace replayed at theta and k; a trace records no model or decode config."""
+    values = {"policy": spec.policy, "theta": theta, "k": k, "cost_ratio": spec.cost_ratio}
+    return {column: values.get(column) for column in CONFIG_COLUMNS} | asdict(metrics)
+
+
 def sweep_rows(spec: ExperimentSpec) -> list[dict]:
     """All grid rows in lexicographic (theta, k, temperature, repetition) order;
     the points share one model pair, so a window is scored once per sweep while

@@ -50,12 +50,16 @@ def logit_ratio(z1: float, z2: float) -> float | None:
 def top_two(values) -> TopTwo:
     """Extract the top-2 tokens of a logit vector.
 
-    Ties are broken by the smallest token id, deterministically. Requires a
-    finite vector over a vocabulary of at least 2 tokens.
+    Ties are broken by the smallest token id, deterministically. Requires a finite
+    vector of at least 2 logits, which the core _top_two takes unchecked.
     """
     z = _as_logit_array(values)
     if z.size < 2:
         raise ValueError("top_two needs a vocabulary of at least 2 tokens")
+    return _top_two(z)
+
+
+def _top_two(z: np.ndarray) -> TopTwo:
     v1 = int(z.argmax())  # first occurrence of the max = smallest id
     masked = z.copy()
     masked[v1] = -np.inf
@@ -82,21 +86,25 @@ def adaptive_margin_check(top: TopTwo, theta: float) -> bool:
 def softmax(values, temperature: float | np.ndarray = 1.0) -> np.ndarray:
     """Temperature-scaled softmax with max-subtraction for stability.
 
-    Output sums to 1 within float error and preserves the input argmax for
-    every positive temperature. A 2-D block is taken row by row, with
-    `temperature` a scalar or a column of per-row temperatures; each row
-    equals the softmax of that row alone, bit for bit.
+    Output sums to 1 within float error and preserves the input argmax for every
+    positive temperature. A 2-D block is taken row by row, with `temperature` a scalar
+    or a column of per-row temperatures; each row equals the softmax of that row alone,
+    bit for bit. The core _softmax checks only the temperatures.
     """
-    # a float skips numpy here: sampled drafting calls softmax once per new window
+    z = _as_logit_array(values, rows=True)
+    if z.size == 0:
+        raise ValueError("softmax of an empty vector is undefined")
+    return _softmax(z, temperature)
+
+
+def _softmax(z: np.ndarray, temperature: float | np.ndarray) -> np.ndarray:
+    # a float skips numpy here: a model derives a CDF once per new window and temperature
     if isinstance(temperature, float):
         positive = temperature > 0.0
     else:
         positive = np.all(np.asarray(temperature) > 0.0)
     if not positive:
         raise ValueError(f"temperature must be > 0, got {temperature}")
-    z = _as_logit_array(values, rows=True)
-    if z.size == 0:
-        raise ValueError("softmax of an empty vector is undefined")
     # a span past the float range or a tiny temperature overflows to -inf: the limit
     with np.errstate(over="ignore"):
         e = np.exp((z - z.max(axis=-1, keepdims=True)) / temperature)

@@ -33,7 +33,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .logits import TopTwo, softmax, top_two
+from .logits import TopTwo, _softmax, _top_two, softmax, top_two
 
 DEFAULT_VOCAB_SIZE = 64
 DEFAULT_ORDER = 2
@@ -179,12 +179,13 @@ def check_tree_size(branching: int, depth: int) -> None:
 
 
 def window_rng(seed: int, window: Sequence[int], salt: int) -> np.random.Generator:
-    """PCG64 stream keyed by (seed, salt, token window) via blake2b.
-
-    Stable across platforms and processes; never uses Python's salted hash().
+    """PCG64 stream keyed by (seed, salt, token window) via blake2b, stable across
+    platforms and processes; never Python's salted hash(). The key's four little-endian
+    uint32 words seed the stream its 128-bit integer seeds (numpy makes it those words).
     """
     h = hashlib.blake2b(pack_tokens((seed, salt, *window)), digest_size=16)
-    return np.random.Generator(np.random.PCG64(int.from_bytes(h.digest(), "little")))
+    words = np.frombuffer(h.digest(), "<u4")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def _check_context(context: Sequence[int], vocab_size: int) -> None:
@@ -195,7 +196,11 @@ def _check_context(context: Sequence[int], vocab_size: int) -> None:
 
 def softmax_cdf(z: np.ndarray, temperature: float) -> np.ndarray:
     """The read-only CDF Generator.choice(p.size, p=p) draws from, p = softmax(z, temperature)."""
-    cdf = softmax(z, temperature).cumsum()
+    return _cdf(softmax(z, temperature))
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    cdf = p.cumsum(out=p)
     cdf /= cdf[-1]
     cdf.flags.writeable = False
     return cdf
@@ -263,13 +268,13 @@ class _MemoisedModel(_WindowIds):
     def top_two_at(self, w: int) -> TopTwo:
         entry = self._memo.get(w) or self._miss(w)
         if entry[1] is None:
-            entry[1] = top_two(entry[0])
+            entry[1] = _top_two(entry[0])  # the config checks keep memoised logits finite
         return entry[1]
 
     def cdf_at(self, w: int, temperature: float) -> np.ndarray:
         entry = self._memo.get(w) or self._miss(w)
         if entry[2] != temperature:
-            entry[2:] = temperature, softmax_cdf(entry[0], temperature)
+            entry[2:] = temperature, _cdf(_softmax(entry[0], temperature))
         return entry[3]
 
     def score(self, context: Sequence[int]) -> np.ndarray:
@@ -338,8 +343,9 @@ class SyntheticTargetModel(_MemoisedModel):
         cfg = self.config
         rng = window_rng(cfg.seed, self.window(w), _TARGET_SALT)
         u = np.maximum(rng.random(cfg.vocab_size), 1e-12)
-        gumbel = -np.log(-np.log(u))
-        return cfg.logit_offset + cfg.logit_spread * gumbel
+        # offset + spread * -log(-log(u)) in place, as -spread * x is exactly -(spread * x)
+        np.log(np.negative(np.log(u, out=u), out=u), out=u)
+        return np.add(np.multiply(u, -cfg.logit_spread, out=u), cfg.logit_offset, out=u)
 
 
 class PerturbedDraftModel(_MemoisedModel):
@@ -365,7 +371,8 @@ class PerturbedDraftModel(_MemoisedModel):
         if self.config.noise_scale == 0:
             return z
         rng = window_rng(self.config.noise_seed, self.window(w), _DRAFT_SALT)
-        return z + self.config.noise_scale * rng.standard_normal(self.vocab_size)
+        n = rng.standard_normal(self.vocab_size)  # z + noise_scale * n, into n: z is read-only
+        return np.add(np.multiply(n, self.config.noise_scale, out=n), z, out=n)
 
 
 class AdversarialDraftModel:

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import specverify
 from specverify.cli import main
 from specverify.engine import DecodeConfig, decode
 from specverify.logits import logit_ratio
@@ -85,6 +89,18 @@ class TestRun:
             assert main([*argv, "--out", str(out)]) == 0
             (rows[mode],) = read_rows(out)
         assert {**rows["sample"], "draft_mode": "greedy"} == rows["greedy"]
+
+    def test_tiny_temperature_exits_0_with_warnings_as_errors(self):
+        """`python -W error -m specverify.cli run` at temperature 1e-310: no
+        numpy warning from the sampling CDFs escapes as an error."""
+        src = str(Path(specverify.__file__).resolve().parents[1])
+        argv = ["run", "--spec", str(ABLATION_SPEC), "--temperature", "1e-310"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "specverify.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
 
     def test_grid_in_run_is_validation_error(self, capsys):
         assert main(["run", "--theta", "0.8,0.9"]) == 2

@@ -1,11 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specverify.logits import TopTwo, adaptive_margin_check, logit_ratio, softmax, top_two
+from specverify.logits import (
+    TopTwo,
+    _softmax,
+    adaptive_margin_check,
+    logit_ratio,
+    softmax,
+    top_two,
+)
+from specverify.models import _cdf
 
 # logits drawn on a 0.01 grid: exact ties are possible, near-ties below float
 # resolution are not, so argmax comparisons stay meaningful
@@ -195,6 +204,20 @@ class TestSoftmax:
             softmax(block, np.zeros((40, 1)))
         with pytest.raises(ValueError):
             softmax(np.full((2, width), np.nan), 1.0)
+
+    def test_unchecked_core_overflows_to_its_limit_without_a_warning(self):
+        """The memo derives CDFs through the unchecked core: at temperature
+        1e-310, or over a span past the float range, it is one-hot on the
+        argmax and raises no RuntimeWarning."""
+        z = np.random.default_rng(7).normal(0.0, 2.0, 64)
+        wide = np.array([-1.7976931348623157e308, 1.7976931348623157e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values, temperature in ((z, 1e-310), (wide, 1.0)):
+                p = _softmax(values, temperature)
+                assert p.tolist() == np.eye(values.size)[values.argmax()].tolist()
+                cdf = _cdf(_softmax(values, temperature))
+                assert cdf.tobytes() == np.cumsum(p).tobytes()
 
     @given(grid_logits, st.floats(min_value=0.05, max_value=10.0))
     @settings(max_examples=200)

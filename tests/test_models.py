@@ -1,8 +1,9 @@
+import hashlib
 from itertools import cycle, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specverify import experiment, models
@@ -19,8 +20,10 @@ from specverify.models import (
     build_draft_tree,
     check_tree_size,
     draft_chain,
+    pack_tokens,
     softmax_cdf,
     window_reader,
+    window_rng,
 )
 from specverify.verify import TreeNode, VerificationPolicy
 
@@ -521,6 +524,37 @@ def test_one_batched_draw_equals_k_scalar_draws(seed, k):
     batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     assert batched.random(k).tolist() == [scalar.random() for _ in range(k)]
     assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+# 16-byte keys, padded with zero high bytes to test the words numpy drops
+# from a smaller integer
+@given(key=st.binary(max_size=16).map(lambda b: b.ljust(16, b"\0")))
+@example(key=bytes(16))
+@example(key=bytes(range(1, 13)) + bytes(4))
+@example(key=bytes(range(1, 9)) + bytes(8))
+@settings(max_examples=300, deadline=None)
+def test_key_words_seed_what_the_key_integer_seeds(key):
+    """window_rng hands SeedSequence the key's four little-endian uint32 words;
+    numpy turns the key's 128-bit integer into the same words, dropping zero
+    high ones, which hash as zero words: the states are equal."""
+    words = np.frombuffer(key, "<u4")
+    by_words = np.random.SeedSequence(words).generate_state(4, np.uint64)
+    by_int = np.random.SeedSequence(int.from_bytes(key, "little")).generate_state(4, np.uint64)
+    assert by_words.tobytes() == by_int.tobytes()
+
+
+@given(
+    seed=st.integers(-(2**63), 2**63 - 1),
+    window=st.lists(st.integers(0, 2**16), max_size=8),
+    salt=st.sampled_from([models._TARGET_SALT, models._DRAFT_SALT]),
+)
+@settings(max_examples=200, deadline=None)
+def test_window_rng_draws_what_the_integer_seeded_generator_draws(seed, window, salt):
+    key = hashlib.blake2b(pack_tokens((seed, salt, *window)), digest_size=16).digest()
+    reference = np.random.Generator(np.random.PCG64(int.from_bytes(key, "little")))
+    rng = window_rng(seed, window, salt)
+    assert rng.random(16).tobytes() == reference.random(16).tobytes()
+    assert rng.standard_normal(16).tobytes() == reference.standard_normal(16).tobytes()
 
 
 SHARED_PAIR_GRID = {"theta": [0.8, 0.95], "k": [2, 3], "temperature": [0.6, 1.4], "repetitions": 2}
