@@ -8,6 +8,14 @@ token while speculative decoding costs one pass plus K draft steps per cycle.
 Simulated speedup is (committed * c_target) / (cycles * (c_target + K * c_draft)),
 i.e. tau / (1 + K * c_draft / c_target); no wall-clock claims are made.
 
+The rule discards the draft after its first rejection, so a chain cycle
+drafts and verifies one position at a time and stops there: it drafts and
+scores only the positions it reaches, and scores the bonus position only
+after K acceptances. Its outputs and bill are those of drafting all K: a
+sampled cycle still draws its K uniforms up front, and K draft steps are
+billed. A recorded cycle drafts all K and scores all K+1 positions, because
+the trace records them.
+
 Cycles are atomic: decode stops after the first cycle that reaches max_tokens
 committed, so the output can exceed max_tokens by up to K tokens. This keeps
 tau exact (e.g. the K+1 ceiling with a perfectly aligned drafter).
@@ -32,8 +40,10 @@ import numpy as np
 
 from . import verify
 from .models import (
-    ScoringModel, build_draft_tree, check_tree_size, draft_chain, pack_tokens, window_reader,
+    MAX_TREE_LEAVES, ScoringModel, build_draft_tree, check_tree_size, draft_walk, pack_tokens,
+    window_reader,
 )
+from .models import draft_chain  # noqa: F401  (perfbench traces engine.draft_chain)
 from .verify import CycleResult, Decision, VerificationPolicy, verify_tree
 from .verify import verify_chain  # noqa: F401  (perfbench traces engine.verify_chain)
 
@@ -89,6 +99,9 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.k < 2**63:
             raise ValueError(f"field 'k': {self.k} not in [1, 2^63)")
+        if self.mode == "chain" and self.k > MAX_TREE_LEAVES:
+            # the bound on a branching-1 tree, which is a chain
+            raise ValueError(f"field 'k': {self.k} exceeds the {MAX_TREE_LEAVES}-token limit")
         if self.max_tokens < 1:
             raise ValueError(f"field 'max_tokens': {self.max_tokens} must be >= 1")
         if not 0 < self.temperature < np.inf:
@@ -246,19 +259,24 @@ def decode(
         if config.mode == "tree":
             tree = build_draft_tree(draft, tail, config.tree_top_k, k)
             return verify_tree(tree, target, tail, policy), []
-        drafted = draft_chain(draft, tail, k, config.temperature, config.draft_mode, gen)
-        # the target's window ids at the K+1 positions: the tail, then each draft
-        w = reader.fold(tail)
-        ids = [w]
-        for tok in drafted:
-            w = step(w, tok)
-            ids.append(w)
-        tops = [top_two_at(w) for w in ids]
-        # through the module, so a wrapper on verify.verify_top_two_chain sees live cycles
-        result = verify.verify_top_two_chain(drafted, tops[:k], policy, tops[k].v1)
+        drafts = draft_walk(draft, tail, k, config.temperature, config.draft_mode, gen)
+        if recorder is not None:
+            drafts = list(drafts)  # the trace records every draft
+        # the target's window ids at the positions reached: the tail, then each draft
+        ids = [reader.fold(tail)]
+
+        def positions():
+            for tok in drafts:
+                yield tok, top_two_at(ids[-1])
+                ids.append(step(ids[-1], tok))
+
+        # through the module, so a wrapper on verify.decide_chain sees live cycles
+        result = verify.decide_chain(positions(), policy, lambda: top_two_at(ids[-1]).v1)
         rows = []
         if recorder is not None:
-            rows = [(w, tok, pack_tokens((tok,))) for w, tok in zip(ids, drafted)]
+            for tok in drafts[len(ids) - 1 :]:  # the positions past a rejection
+                ids.append(step(ids[-1], tok))
+            rows = [(w, tok, pack_tokens((tok,))) for w, tok in zip(ids, drafts)]
             rows.append((ids[k], None, b""))
         return result, rows
 

@@ -29,7 +29,7 @@ import operator
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -403,20 +403,22 @@ class AdversarialDraftModel:
         return out
 
 
-def draft_chain(
+def draft_walk(
     model: ScoringModel,
     context: Sequence[int],
     k: int,
     temperature: float = 1.0,
     mode: str = "greedy",
     rng: int | np.random.Generator | None = None,
-) -> list[int]:
-    """Autoregressively draft k tokens from the model.
+) -> Iterator[int]:
+    """Autoregressively draft up to k tokens from the model, one per next().
 
     mode "greedy" takes the argmax at each step; mode "sample" draws from
     softmax(logits, temperature) using the given seed or generator, fully
-    reproducibly. The whole context is checked once; after that each step
-    reads its window by id, so a chain costs time linear in k.
+    reproducibly. The checks, the whole context's included, and a sampled
+    walk's k uniforms are made when the walk is created, so a generator
+    advances by k draws however far the walk is read. After that each step
+    reads its window by id, so a walk costs time linear in the tokens read.
     """
     if k < 1:
         raise ValueError(f"draft length k must be >= 1, got {k}")
@@ -427,24 +429,37 @@ def draft_chain(
     if mode == "greedy":
         logits_at = reader.logits_at
 
-        def pick(w: int) -> int:
-            return int(logits_at(w).argmax())
+        def walk(w: int) -> Iterator[int]:
+            for _ in range(k):
+                tok = int(logits_at(w).argmax())
+                yield tok
+                w = step(w, tok)
 
     else:
         cdf_at = reader.cdf_at
         # one call gives the doubles, and the generator state, of k scalar draws
-        draws = iter(np.random.default_rng(rng).random(k).tolist())
+        draws = np.random.default_rng(rng).random(k).tolist()
 
-        def pick(w: int) -> int:
-            # Generator.choice(p.size, p=p)'s own draw, without re-checking p
-            return int(cdf_at(w, temperature).searchsorted(next(draws), side="right"))
+        def walk(w: int) -> Iterator[int]:
+            for u in draws:
+                # Generator.choice(p.size, p=p)'s own draw, without re-checking p
+                tok = int(cdf_at(w, temperature).searchsorted(u, side="right"))
+                yield tok
+                w = step(w, tok)
 
-    out: list[int] = []
-    for _ in range(k):
-        tok = pick(w)
-        out.append(tok)
-        w = step(w, tok)
-    return out
+    return walk(w)
+
+
+def draft_chain(
+    model: ScoringModel,
+    context: Sequence[int],
+    k: int,
+    temperature: float = 1.0,
+    mode: str = "greedy",
+    rng: int | np.random.Generator | None = None,
+) -> list[int]:
+    """All k tokens of draft_walk(model, context, k, temperature, mode, rng)."""
+    return list(draft_walk(model, context, k, temperature, mode, rng))
 
 
 def build_draft_tree(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -106,6 +106,23 @@ def decide_position(top: TopTwo, draft_token: int, policy: VerificationPolicy) -
     return PositionDecision(Decision.REJECTED, draft_token, top.v1, top.ratio)
 
 
+def decide_chain(
+    positions: Iterable[tuple[int, TopTwo]],
+    policy: VerificationPolicy,
+    bonus_top1: Callable[[], int | None],
+) -> CycleResult:
+    """The chain loop behind every chain verification: decide each (draft
+    token, target top-2) pair left to right and stop at the first rejection,
+    so a lazy `positions` is read no further than that. On full acceptance
+    the bonus token is bonus_top1(), called only then."""
+    decisions: list[PositionDecision] = []
+    for tok, top in positions:
+        decisions.append(decide_position(top, int(tok), policy))
+        if decisions[-1].label is Decision.REJECTED:
+            return CycleResult(tuple(decisions), None)
+    return CycleResult(tuple(decisions), bonus_top1())
+
+
 def verify_top_two_chain(
     draft: Sequence[int],
     top_twos: Sequence[TopTwo],
@@ -114,8 +131,8 @@ def verify_top_two_chain(
 ) -> CycleResult:
     """Chain verification given precomputed per-position top-2 statistics.
 
-    This is the decision core shared by live verification (full logit
-    vectors) and trace replay (recorded top-k).
+    This is decide_chain for drafts and top-2s in hand, as trace replay
+    (recorded top-k) and verify_chain (full logit vectors) have them.
     """
     if len(draft) != len(top_twos):
         raise ValueError(
@@ -123,12 +140,9 @@ def verify_top_two_chain(
         )
     if len(draft) == 0:
         raise ValueError("cannot verify an empty draft")
-    decisions: list[PositionDecision] = []
-    for tok, top in zip(draft, top_twos):
-        decisions.append(decide_position(top, int(tok), policy))
-        if decisions[-1].label is Decision.REJECTED:
-            return CycleResult(tuple(decisions), None)
-    return CycleResult(tuple(decisions), None if bonus_top1 is None else int(bonus_top1))
+    return decide_chain(
+        zip(draft, top_twos), policy, lambda: None if bonus_top1 is None else int(bonus_top1)
+    )
 
 
 def verify_chain(

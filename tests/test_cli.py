@@ -455,6 +455,18 @@ class TestExitCodes:
         assert "field 'tree_top_k'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, doc", [
+        (["--k", "200001"], {}),
+        ([], {"draft_mode": "sample", "k": 10**12, "max_tokens": 50}),
+    ])
+    def test_chain_k_above_the_leaf_limit_is_2_and_named(self, argv, doc, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["run", "--spec", str(spec), *argv, "--max-tokens", "50"]) == 2
+        err = capsys.readouterr().err
+        assert "field 'k'" in err and "200000" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["analyze", "replay"])
     @pytest.mark.parametrize("temp", ["nan", "inf"])
     def test_non_finite_trace_temperature_is_2(self, command, temp, tmp_path, capsys):
@@ -617,7 +629,7 @@ def test_mutated_traces_exit_0_or_2(recorded_trace, command, edits):
 BIG = str(2**63)
 EDGE_VALUES = {
     "--theta": ["nan", "inf", "-0", "1e-320", BIG, "1,1", "", "-1", "1", "0.9", "0.5,1"],
-    "--k": ["nan", "-0", "0", BIG, "1,1", "", "-1", "1", "3", "7", "3,1"],
+    "--k": ["nan", "-0", "0", BIG, "1000000000000", "1,1", "", "-1", "1", "3", "7", "3,1"],
     "--temperature": ["nan", "inf", "-0", "1e-320", BIG, "1,1", "", "-1", "1", "0.5,1"],
     "--seed": ["nan", "-0", BIG, str(2**63 - 1), "1,1", "", "-1", "7"],
     "--policy": ["nan", "strict", "margin"],
@@ -668,7 +680,7 @@ SPEC_EDGES = ["NaN", "Infinity", "-Infinity", "1e999", "-0.0", "5e-324", str(2**
 # each key's values, drawn three times as often as the edges: most of them valid
 SPEC_KEYS = {
     "": {"policy": ['"margin"', '"strict"'], "theta": ["0.9", "1", "[0.5, 1]", "5e-324"],
-         "k": ["1", "3", "[1, 3]"], "temperature": ["0.5", "1", "[0.5, 1]", "5e-324"],
+         "k": ["1", "3", "[1, 3]", "1000000000000"], "temperature": ["0.5", "1", "[0.5, 1]", "5e-324"],
          "draft_mode": ['"greedy"', '"sample"'], "mode": ['"chain"', '"tree"'],
          "tree_top_k": ["1", "2", "3"], "stop_token": ["null", "0", "5"],
          "cost_ratio": ["0", "0.5"], "repetitions": ["1", "2"], "seed": ["0", str(2**63 - 1)],

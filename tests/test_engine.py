@@ -383,7 +383,7 @@ class TestCycleMemo:
         # tree_top_k up to above the vocabulary, below the leaf limit
         width = data.draw(st.sampled_from([1, 2, 3, vocab + 1]), label="tree_top_k")
         fields = {"draft_mode": mode} if mode != "tree" else {"mode": "tree", "tree_top_k": width}
-        k = data.draw(st.integers(1, 6 if mode != "tree" else 3 if width < 10 else 2), label="k")
+        k = data.draw(st.integers(1, 16 if mode != "tree" else 3 if width < 10 else 2), label="k")
         kind = data.draw(st.sampled_from(["strict", "margin"]), label="policy")
         theta = data.draw(st.sampled_from([0.5, 0.9, 1.0]), label="theta")
         stop = data.draw(st.none() | st.integers(0, vocab - 1), label="stop_token")
@@ -415,10 +415,29 @@ class TestCycleMemo:
     @pytest.mark.parametrize("draft_mode, decided", [("greedy", "fewer"), ("sample", "all")])
     def test_only_deterministic_cycles_are_decided_once(self, draft_mode, decided, monkeypatch):
         calls = []
-        original = verify.verify_top_two_chain
-        monkeypatch.setattr(verify, "verify_top_two_chain",
+        original = verify.decide_chain
+        monkeypatch.setattr(verify, "decide_chain",
                             lambda *args: calls.append(1) or original(*args))
         target, draft = make_pair()
         cfg = DecodeConfig(policy=MARGIN_09, max_tokens=2000, draft_mode=draft_mode, temperature=0.4)
         _, m = decode(target, draft, cfg, [1, 2])
         assert len(calls) < m.cycles / 10 if decided == "fewer" else len(calls) == m.cycles
+
+
+class TestEarlyStop:
+    """A chain cycle drafts no position past its first rejection, unless a
+    recorder needs every draft for the trace."""
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_a_cycle_rejected_at_position_1_scores_the_draft_once(self, recording):
+        target, _ = make_pair()
+        draft = CountingModel(AdversarialDraftModel(target))
+        # sampled, so no cycle is memoised; at temperature 0.01 every draw is
+        # the adversary's third-ranked token
+        cfg = DecodeConfig(policy=MARGIN_09, k=7, max_tokens=200, draft_mode="sample",
+                           temperature=0.01)
+        recorder = (lambda *record: None) if recording else None
+        _, m = decode(target, draft, cfg, [1, 2], recorder=recorder)
+        assert m.rejected_count == m.cycles == 200
+        assert len(draft.lengths) == m.cycles * (cfg.k if recording else 1)
+        assert m.draft_steps == m.cycles * cfg.k

@@ -20,6 +20,7 @@ from specverify.models import (
     build_draft_tree,
     check_tree_size,
     draft_chain,
+    draft_walk,
     pack_tokens,
     softmax_cdf,
     window_reader,
@@ -165,6 +166,15 @@ class TestDraftChain:
     def test_k_validated(self, draft):
         with pytest.raises(ValueError):
             draft_chain(draft, [1, 2], 0)
+
+    def test_a_walk_checks_and_draws_when_created(self, draft):
+        """A walk read one token in leaves its generator where a whole chain does."""
+        read_one, whole = np.random.default_rng(3), np.random.default_rng(3)
+        walk = draft_walk(draft, [1, 2], 5, 0.8, "sample", read_one)
+        assert next(walk) == draft_chain(draft, [1, 2], 5, 0.8, "sample", whole)[0]
+        assert read_one.bit_generator.state == whole.bit_generator.state
+        with pytest.raises(ValueError, match="token 99"):
+            draft_walk(draft, [99, 1], 3)
 
     def test_mode_validated(self, draft):
         with pytest.raises(ValueError):
