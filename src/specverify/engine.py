@@ -16,6 +16,13 @@ sampled cycle still draws its K uniforms up front, and K draft steps are
 billed. A recorded cycle drafts all K and scores all K+1 positions, because
 the trace records them.
 
+A tree cycle is billed for the full tree_top_k-ary draft tree of depth K, but
+verification follows one path of it, so decode walks only that path: at each
+depth it ranks the draft's tokens at the path's window, and follows the
+target's v1 if it is a child, else its v2 if the rule relaxes it, else
+rejects the first child. Both modes' (token, top-2) pairs are decided by the
+one loop, verify.decide_chain.
+
 Cycles are atomic: decode stops after the first cycle that reaches max_tokens
 committed, so the output can exceed max_tokens by up to K tokens. This keeps
 tau exact (e.g. the K+1 ceiling with a perfectly aligned drafter).
@@ -40,11 +47,10 @@ import numpy as np
 
 from . import verify
 from .models import (
-    MAX_TREE_LEAVES, ScoringModel, build_draft_tree, check_tree_size, draft_walk, pack_tokens,
-    window_reader,
+    MAX_TREE_LEAVES, ScoringModel, check_tree_size, draft_walk, pack_tokens, window_reader,
 )
 from .models import draft_chain  # noqa: F401  (perfbench traces engine.draft_chain)
-from .verify import CycleResult, Decision, VerificationPolicy, verify_tree
+from .verify import CycleResult, Decision, VerificationPolicy, decide_position
 from .verify import verify_chain  # noqa: F401  (perfbench traces engine.verify_chain)
 
 DEFAULT_COST_RATIO = 0.05
@@ -245,33 +251,52 @@ def decode(
     if config.mode == "chain":
         steps_per_cycle = k
     else:
-        # build_draft_tree gives a node at most vocab_size children
+        # a node of the full tree has at most vocab_size children, and the bill counts them all
         width = min(config.tree_top_k, target.vocab_size)
         steps_per_cycle = sum(width**d for d in range(1, k + 1))
+        draft_reader = window_reader(draft)
     # sampled drafting draws from gen, so only greedy chain and tree cycles are kept
     deterministic = config.mode == "tree" or config.draft_mode == "greedy"
     cap = CYCLE_MEMO_TOKENS // ((k + 2) * window)
     memo: dict[tuple[int, ...], tuple] | None = {} if deterministic and cap else None
 
+    def tree_path(tail: list[int], ids: list[int]):
+        """The (token, target top-2) pairs of the path verification follows
+        through the full tree, whose children at a node are the draft's
+        top-`width` tokens there, logit-descending and ties by smallest id."""
+        d = draft_reader.window_id(tail)
+        for _ in range(k):
+            top = top_two_at(ids[-1])
+            z = draft_reader.logits_at(d)
+            children = np.lexsort((np.arange(z.size), -z))[:width].tolist()
+            # the first of v1 and v2 that is a child the rule accepts, else the first child
+            accepted = (v for v in (top.v1, top.v2) if v in children
+                        and decide_position(top, v, policy).label is not Decision.REJECTED)
+            tok = next(accepted, children[0])
+            yield tok, top
+            ids.append(step(ids[-1], tok))
+            d = draft_reader.step(d, tok)
+
     def decide(tail: list[int]) -> tuple[CycleResult, list]:
         """A cycle's result, and with a recorder its K+1 records'
         (target window id, chosen draft, packed draft)."""
-        if config.mode == "tree":
-            tree = build_draft_tree(draft, tail, config.tree_top_k, k)
-            return verify_tree(tree, target, tail, policy), []
-        drafts = draft_walk(draft, tail, k, config.temperature, config.draft_mode, gen)
-        if recorder is not None:
-            drafts = list(drafts)  # the trace records every draft
         # the target's window ids at the positions reached: the tail, then each draft
         ids = [reader.fold(tail)]
 
-        def positions():
+        def chain_positions():
             for tok in drafts:
                 yield tok, top_two_at(ids[-1])
                 ids.append(step(ids[-1], tok))
 
+        if config.mode == "tree":
+            positions = tree_path(tail, ids)
+        else:
+            drafts = draft_walk(draft, tail, k, config.temperature, config.draft_mode, gen)
+            if recorder is not None:
+                drafts = list(drafts)  # the trace records every draft
+            positions = chain_positions()
         # through the module, so a wrapper on verify.decide_chain sees live cycles
-        result = verify.decide_chain(positions(), policy, lambda: top_two_at(ids[-1]).v1)
+        result = verify.decide_chain(positions, policy, lambda: top_two_at(ids[-1]).v1)
         rows = []
         if recorder is not None:
             for tok in drafts[len(ids) - 1 :]:  # the positions past a rejection

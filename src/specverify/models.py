@@ -28,7 +28,7 @@ import hashlib
 import operator
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence
 
 import numpy as np
@@ -72,14 +72,6 @@ class ScoringModel(Protocol):
     def order(self) -> int: ...
 
     def score(self, context: Sequence[int]) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """One drafted token and its child alternatives for the next position."""
-
-    token: int
-    children: tuple["TreeNode", ...] = field(default=())
 
 
 def check_seed(name: str, seed: int) -> None:
@@ -306,9 +298,11 @@ class _ScoreOnly(_WindowIds):
 
     def logits_at(self, w: int) -> np.ndarray:
         opened, self._opened = self._opened, None
-        if opened is not None and opened[0] == w:
-            return self.model.score(list(opened[1]))
-        return self.model.score(list(self.window(w)))
+        window = opened[1] if opened is not None and opened[0] == w else self.window(w)
+        z = self.model.score(list(window))
+        if np.shape(z) != (self.vocab_size,):  # else a token past the vocabulary goes unchecked
+            raise ValueError(f"score returned shape {np.shape(z)}, not ({self.vocab_size},)")
+        return z
 
     def top_two_at(self, w: int) -> TopTwo:
         return top_two(self.logits_at(w))
@@ -460,45 +454,3 @@ def draft_chain(
 ) -> list[int]:
     """All k tokens of draft_walk(model, context, k, temperature, mode, rng)."""
     return list(draft_walk(model, context, k, temperature, mode, rng))
-
-
-def build_draft_tree(
-    model: ScoringModel,
-    context: Sequence[int],
-    branching: int,
-    depth: int,
-) -> list[TreeNode]:
-    """Draft a full branching^depth token tree of the model's top candidates.
-
-    Children at each node are the top-`branching` tokens (logit-descending,
-    ties by smallest id), so the first-child path is the greedy chain. The
-    tree is built level by level without recursion, and below the root each
-    node's window is read by id, so a deep branching-1 tree costs time linear
-    in its depth.
-    """
-    if branching < 1:
-        raise ValueError("branching must be >= 1")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    check_tree_size(branching, depth)
-    # a node has one child per token, so there are at most vocab_size of them
-    width = min(branching, model.vocab_size)
-    reader = window_reader(model)
-
-    def candidates(w: int) -> list[int]:
-        z = reader.logits_at(w)
-        return [int(tok) for tok in np.lexsort((np.arange(z.size), -z))[:width]]
-
-    # each level's (parent window id, token) pairs, breadth-first in parent order
-    root = reader.window_id(context)
-    levels = [[(root, tok) for tok in candidates(root)]]
-    while len(levels) < depth:
-        ids = [reader.step(w, tok) for w, tok in levels[-1]]
-        levels.append([(w, tok) for w in ids for tok in candidates(w)])
-    nodes = [TreeNode(tok) for _, tok in levels.pop()]
-    for level in reversed(levels):
-        nodes = [
-            TreeNode(tok, tuple(nodes[i * width : (i + 1) * width]))
-            for i, (_, tok) in enumerate(level)
-        ]
-    return nodes

@@ -14,9 +14,9 @@ vector supplied by the caller) is appended, so a cycle commits between 1 and
 K+1 tokens. Margin-aware with theta = 1.0 is decision-identical to strict,
 because the ratio never exceeds 1.
 
-A simplified greedy-path tree verifier is also provided. It applies the same
-decide_position rule to every child at each depth: the first exact child is
-followed, else the first relaxed child, else the first child is rejected.
+decide_chain is the one loop that decides cycles, chain and tree alike: tree
+mode (see engine.decode) walks only the path it verifies and hands the loop
+that path's (token, top-2) pairs, as a chain cycle hands its drafts'.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .logits import TopTwo, adaptive_margin_check, top_two
-from .models import TreeNode, window_reader
 
 DEFAULT_THETA = 0.9
 
@@ -161,56 +160,3 @@ def verify_chain(
     tops = [top_two(z) for z in target_logits]
     bonus_top1 = top_two(bonus_logits).v1 if bonus_logits is not None else None
     return verify_top_two_chain(draft, tops, policy, bonus_top1)
-
-
-def _validate_tree(nodes: Sequence[TreeNode], vocab_size: int) -> None:
-    stack = list(nodes)
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, TreeNode):
-            raise ValueError(f"malformed tree node: {node!r}")
-        if not 0 <= node.token < vocab_size:
-            raise ValueError(
-                f"tree token {node.token} out of vocabulary range [0, {vocab_size})"
-            )
-        stack.extend(node.children)
-
-
-# tree walk preference among children's decisions; min() keeps the first of equals
-_PREFERENCE = {Decision.EXACT: 0, Decision.RELAXED: 1, Decision.REJECTED: 2}
-
-
-def verify_tree(
-    roots: Sequence[TreeNode],
-    target_scorer,
-    context: Sequence[int],
-    policy: VerificationPolicy,
-) -> CycleResult:
-    """Walk a token tree, greedily following the best qualifying child.
-
-    At each depth every child is judged by decide_position; the first exact
-    child is followed, else the first relaxed child. When no child qualifies
-    the first child is rejected and the target top-1 is committed as
-    correction; exhausting a path appends a bonus token. Result shape matches
-    verify_chain. The whole context is checked once; after that each depth's
-    window is read by id, so the walk is linear in depth.
-    """
-    if not roots:
-        raise ValueError("cannot verify an empty tree")
-    _validate_tree(roots, target_scorer.vocab_size)
-    reader = window_reader(target_scorer)
-    w = reader.window_id(context)
-    children: Sequence[TreeNode] = roots
-    decisions: list[PositionDecision] = []
-    while children:
-        top = reader.top_two_at(w)
-        decision, chosen = min(
-            ((decide_position(top, child.token, policy), child) for child in children),
-            key=lambda pair: _PREFERENCE[pair[0].label],
-        )
-        decisions.append(decision)
-        if decision.label is Decision.REJECTED:
-            return CycleResult(tuple(decisions), None)
-        w = reader.step(w, chosen.token)
-        children = chosen.children
-    return CycleResult(tuple(decisions), reader.top_two_at(w).v1)

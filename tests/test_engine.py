@@ -292,6 +292,126 @@ class CountingModel:
         return self.inner.score(context)
 
 
+class RoundedModel:
+    """A ScoringModel with only `score`: its inner model's logits rounded to
+    integers, so that tokens tie."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def vocab_size(self):
+        return self.inner.vocab_size
+
+    @property
+    def order(self):
+        return self.inner.order
+
+    def score(self, context):
+        return np.round(self.inner.score(context))
+
+
+class ThirdFirstModel:
+    """A ScoringModel with only `score` that ranks the target's third token
+    first and its top token last, so that in a narrow tree the target's v2 is
+    a child but not the first, and its v1 no child at all."""
+
+    def __init__(self, target):
+        self.target = target
+
+    @property
+    def vocab_size(self):
+        return self.target.vocab_size
+
+    @property
+    def order(self):
+        return self.target.order
+
+    def score(self, context):
+        z = np.array(self.target.score(context))
+        ranked = np.lexsort((np.arange(z.size), -z))
+        z[ranked[0]], z[ranked[2]] = z.min() - 1, z.max() + 1
+        return z
+
+
+class TestTreeWalk:
+    """Tree mode walks only the path verification follows; the oracle's decode
+    builds the full draft tree every cycle and walks it with verify_tree."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_full_tree(self, data):
+        vocab = data.draw(st.integers(3, 8), label="vocab")
+        order = data.draw(st.integers(1, 3), label="order")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        pair = data.draw(st.sampled_from(["perturbed", "rounded", "third first"]), label="pair")
+        if pair == "perturbed":
+            target = SyntheticTargetModel(SyntheticTargetConfig(seed, vocab, order))
+            noise = data.draw(st.sampled_from([0.0, 0.5, 3.0]), label="noise_scale")
+            draft = PerturbedDraftModel(target, PerturbedDraftConfig(seed + 2, noise))
+        else:
+            # spread 1: integer logits a unit or so apart, so ties are common
+            target = RoundedModel(SyntheticTargetModel(
+                SyntheticTargetConfig(seed, vocab, order, logit_spread=1.0)))
+            draft_order = data.draw(st.integers(1, 4), label="draft order")
+            draft = RoundedModel(SyntheticTargetModel(
+                SyntheticTargetConfig(seed + 1, vocab, draft_order, logit_spread=1.0)))
+            if pair == "third first":
+                draft = ThirdFirstModel(target)
+        width = data.draw(st.sampled_from([1, 2, 3, vocab, vocab + 1]), label="tree_top_k")
+        # depth 1-9, at most 2^11 leaves, so that the oracle's full trees stay small
+        leaves = min(width, vocab)
+        k = data.draw(st.integers(1, max(d for d in range(1, 10) if leaves**d <= 2**11)), label="k")
+        kind = data.draw(st.sampled_from(["strict", "margin"]), label="policy")
+        theta = data.draw(st.sampled_from([0.5, 0.9, 1.0]), label="theta")
+        config = DecodeConfig(
+            VerificationPolicy.from_name(kind, theta), k=k, mode="tree", tree_top_k=width,
+            max_tokens=data.draw(st.integers(1, 30), label="max_tokens"),
+            stop_token=data.draw(st.none() | st.integers(0, vocab - 1), label="stop_token"))
+        prompt = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=order + 2))
+        # the cycle memo off, so that every cycle is walked, or the default one
+        tokens = data.draw(st.sampled_from([0, engine.CYCLE_MEMO_TOKENS]), label="memo tokens")
+
+        def run(decode):
+            sink = []
+            out, metrics = decode(target, draft, config, prompt, cycle_sink=sink)
+            return out, metrics, sink
+
+        with mock.patch.object(engine, "CYCLE_MEMO_TOKENS", tokens):
+            got = run(decode)
+        assert got == run(trace_oracle.decode)
+
+    def test_scores_the_draft_once_per_position_reached(self):
+        """A cycle ranks the draft at the windows of the path it verifies, at most
+        k of them, where the full tree ranks it at each of its 127 internal nodes;
+        the bill still counts the full tree's 254 draft steps."""
+        target, inner = make_pair()
+        draft = CountingModel(inner)
+        cfg = DecodeConfig(policy=MARGIN_09, k=7, max_tokens=300, mode="tree", tree_top_k=2)
+        sink = []
+        with mock.patch.object(engine, "CYCLE_MEMO_TOKENS", 0):  # every cycle decided
+            _, m = decode(target, draft, cfg, [1, 2], cycle_sink=sink)
+        assert len(draft.lengths) == sum(len(result.decisions) for result in sink)
+        assert len(draft.lengths) <= cfg.k * m.cycles
+        assert m.draft_steps == m.cycles * 254
+        draft.lengths.clear()
+        trace_oracle.build_draft_tree(draft, [1, 2], 2, 7)
+        assert len(draft.lengths) == 127
+
+
+@pytest.mark.parametrize("mode", ["chain", "tree"])
+@pytest.mark.parametrize("size", [7, 11])
+def test_a_score_of_the_wrong_length_is_refused(mode, size):
+    """A score-only draft scoring 11 tokens of a vocabulary of 8 would draft
+    token 9; scoring 7, it could never draft token 7."""
+    target = SyntheticTargetModel(SyntheticTargetConfig(seed=1, vocab_size=8))
+    draft = RoundedModel(target)
+    draft.score = lambda context: np.arange(size, dtype=float)
+    cfg = DecodeConfig(policy=MARGIN_09, k=3, max_tokens=20, mode=mode)
+    with pytest.raises(ValueError, match=rf"score returned shape \({size},\), not \(8,\)"):
+        decode(target, draft, cfg, [1, 2])
+
+
 LONG_PROMPT = [i % 64 for i in range(600)]
 
 

@@ -17,7 +17,6 @@ from specverify.models import (
     PerturbedDraftModel,
     SyntheticTargetConfig,
     SyntheticTargetModel,
-    build_draft_tree,
     check_tree_size,
     draft_chain,
     draft_walk,
@@ -26,9 +25,10 @@ from specverify.models import (
     window_reader,
     window_rng,
 )
-from specverify.verify import TreeNode, VerificationPolicy
+from specverify.verify import VerificationPolicy
 
 from conftest import make_pair, random_contexts
+from trace_oracle import TreeNode, build_draft_tree
 
 
 class TestSyntheticTarget:

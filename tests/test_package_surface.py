@@ -79,6 +79,8 @@ def test_the_import_check_finds_an_unused_import(tmp_path):
         "from __future__ import annotations\n"
         "import os\nimport os.path\nfrom re import compile, escape  # noqa: F401\n"
         "from json import dumps  # noqa: F401  (kept for a caller)\n"
+        "from .models import (\n    draft_walk, window_reader,\n)\n"
         "print(os, escape)\n"
+        "def f(x: draft_walk) -> None: ...\n"
     )
-    assert unused_imports(module) == ["m.py:4: compile"]
+    assert unused_imports(module) == ["m.py:4: compile", "m.py:6: window_reader"]

@@ -5,16 +5,10 @@ from hypothesis import strategies as st
 
 from specverify.logits import top_two
 from specverify.models import PerturbedDraftConfig, PerturbedDraftModel, draft_chain
-from specverify.verify import (
-    Decision,
-    TreeNode,
-    VerificationPolicy,
-    decide_position,
-    verify_chain,
-    verify_tree,
-)
+from specverify.verify import Decision, VerificationPolicy, decide_position, verify_chain
 
 from conftest import make_pair
+from trace_oracle import TreeNode, verify_tree
 
 MARGIN_09 = VerificationPolicy.margin_aware(0.9)
 STRICT = VerificationPolicy.strict()

@@ -7,12 +7,16 @@ at a time, cycles are grouped by a loop over the runs of drafted records,
 replay decides one cycle at a time, and analysis takes a 1-D softmax per
 record. `decode` is the draft-verify loop with no cycle memo: it drafts,
 scores and verifies every cycle anew, and hashes each record's context whole.
+Its tree mode builds the full draft tree with `build_draft_tree` and walks it
+with `verify_tree`, where the engine walks only the path verification follows.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +24,7 @@ import specverify.trace
 from specverify.analysis import DEFAULT_BINS, AnalysisReport, Histogram, ScatterPoint, _histogram
 from specverify.engine import CostModel, DecodeConfig, DecodeMetrics, check_prompt, metrics_from_cycles
 from specverify.logits import TopTwo, logit_ratio, top_two
-from specverify.models import build_draft_tree, draft_chain
+from specverify.models import ScoringModel, check_tree_size, draft_chain, window_reader
 from specverify.trace import (
     FORMAT_VERSION,
     hash_context,
@@ -30,7 +34,10 @@ from specverify.trace import (
     TraceHeader,
     TraceRecord,
 )
-from specverify.verify import CycleResult, VerificationPolicy, verify_top_two_chain, verify_tree
+from specverify.verify import (
+    CycleResult, Decision, PositionDecision, VerificationPolicy, decide_position,
+    verify_top_two_chain,
+)
 
 
 def softmax(values, temperature: float) -> np.ndarray:
@@ -286,6 +293,109 @@ def analyze_records(
         prob_ratio_hist=_histogram(prob_ratios, bins),
         scatter=tuple(scatter),
     )
+
+
+@dataclass(frozen=True)
+class TreeNode:
+    """One drafted token and its child alternatives for the next position."""
+
+    token: int
+    children: tuple["TreeNode", ...] = field(default=())
+
+
+def build_draft_tree(
+    model: ScoringModel,
+    context: Sequence[int],
+    branching: int,
+    depth: int,
+) -> list[TreeNode]:
+    """Draft a full branching^depth token tree of the model's top candidates.
+
+    Children at each node are the top-`branching` tokens (logit-descending,
+    ties by smallest id), so the first-child path is the greedy chain. The
+    tree is built level by level without recursion, and below the root each
+    node's window is read by id, so a deep branching-1 tree costs time linear
+    in its depth.
+    """
+    if branching < 1:
+        raise ValueError("branching must be >= 1")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    check_tree_size(branching, depth)
+    # a node has one child per token, so there are at most vocab_size of them
+    width = min(branching, model.vocab_size)
+    reader = window_reader(model)
+
+    def candidates(w: int) -> list[int]:
+        z = reader.logits_at(w)
+        return [int(tok) for tok in np.lexsort((np.arange(z.size), -z))[:width]]
+
+    # each level's (parent window id, token) pairs, breadth-first in parent order
+    root = reader.window_id(context)
+    levels = [[(root, tok) for tok in candidates(root)]]
+    while len(levels) < depth:
+        ids = [reader.step(w, tok) for w, tok in levels[-1]]
+        levels.append([(w, tok) for w in ids for tok in candidates(w)])
+    nodes = [TreeNode(tok) for _, tok in levels.pop()]
+    for level in reversed(levels):
+        nodes = [
+            TreeNode(tok, tuple(nodes[i * width : (i + 1) * width]))
+            for i, (_, tok) in enumerate(level)
+        ]
+    return nodes
+
+
+def _validate_tree(nodes: Sequence[TreeNode], vocab_size: int) -> None:
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, TreeNode):
+            raise ValueError(f"malformed tree node: {node!r}")
+        if not 0 <= node.token < vocab_size:
+            raise ValueError(
+                f"tree token {node.token} out of vocabulary range [0, {vocab_size})"
+            )
+        stack.extend(node.children)
+
+
+# tree walk preference among children's decisions; min() keeps the first of equals
+_PREFERENCE = {Decision.EXACT: 0, Decision.RELAXED: 1, Decision.REJECTED: 2}
+
+
+def verify_tree(
+    roots: Sequence[TreeNode],
+    target_scorer,
+    context: Sequence[int],
+    policy: VerificationPolicy,
+) -> CycleResult:
+    """Walk a token tree, greedily following the best qualifying child.
+
+    At each depth every child is judged by decide_position; the first exact
+    child is followed, else the first relaxed child. When no child qualifies
+    the first child is rejected and the target top-1 is committed as
+    correction; exhausting a path appends a bonus token. Result shape matches
+    verify_chain. The whole context is checked once; after that each depth's
+    window is read by id, so the walk is linear in depth.
+    """
+    if not roots:
+        raise ValueError("cannot verify an empty tree")
+    _validate_tree(roots, target_scorer.vocab_size)
+    reader = window_reader(target_scorer)
+    w = reader.window_id(context)
+    children: Sequence[TreeNode] = roots
+    decisions: list[PositionDecision] = []
+    while children:
+        top = reader.top_two_at(w)
+        decision, chosen = min(
+            ((decide_position(top, child.token, policy), child) for child in children),
+            key=lambda pair: _PREFERENCE[pair[0].label],
+        )
+        decisions.append(decision)
+        if decision.label is Decision.REJECTED:
+            return CycleResult(tuple(decisions), None)
+        w = reader.step(w, chosen.token)
+        children = chosen.children
+    return CycleResult(tuple(decisions), reader.top_two_at(w).v1)
 
 
 def decode(
