@@ -31,11 +31,13 @@ def main() -> None:
     report = analyze_trace(trace, args.theta)
     write_report(report, args.outdir)
 
-    zone = [p.p2 / p.p1 for p in report.scatter if p.ratio is not None and p.ratio > args.theta]
-    span = max(zone) / min(zone)
+    s = report.scatter
+    defined = s.z1 > 0  # where the ratio z2/z1 is defined
+    zone = (s.p2[defined] / s.p1[defined])[s.z2[defined] / s.z1[defined] > args.theta]
+    low, high = zone.min().item(), zone.max().item()
     print(f"records               : {report.record_count}")
     print(f"relaxation zone r>{args.theta:g} : {report.relaxation_fraction:.4f}")
-    print(f"zone p2/p1 range      : [{min(zone):.4g}, {max(zone):.4g}]  span {span:.1f}x")
+    print(f"zone p2/p1 range      : [{low:.4g}, {high:.4g}]  span {high / low:.1f}x")
     print(f"analysis CSVs in      : {args.outdir}")
 
 

@@ -13,11 +13,12 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .logits import softmax
-from .trace import TraceFile
+from .trace import _BLOCK_FLOATS, _CHUNK, TraceFile
 
 DEFAULT_BINS = 40
 
@@ -29,14 +30,14 @@ class Histogram:
     outside: int = 0  # the non-finite values, which no bin counts
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
-    step: int
-    z1: float
-    z2: float
-    p1: float
-    p2: float
-    ratio: float | None
+class Scatter(NamedTuple):
+    """Read-only columns, one row per record; a record's ratio is z2/z1 where z1 > 0."""
+
+    step: np.ndarray  # int64
+    z1: np.ndarray  # float64 top-two logits and their probabilities
+    z2: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class AnalysisReport:
     top1_hist: Histogram
     ratio_hist: Histogram
     prob_ratio_hist: Histogram
-    scatter: tuple[ScatterPoint, ...]
+    scatter: Scatter
 
 
 def _histogram(values, bins: int) -> Histogram:
@@ -83,21 +84,17 @@ def analyze_trace(trace: TraceFile, theta: float, bins: int = DEFAULT_BINS) -> A
     defined = z1 > 0
     with np.errstate(over="ignore"):  # overflow gives +-inf, as with Python floats
         ratios = z2[defined] / z1[defined]
-        # math.exp, not np.exp: the two differ in the last bit on some inputs
-        prob_ratios = list(map(math.exp, ((z2 - z1) / columns.temp).tolist()))
+        exponents, at = np.unique((z2 - z1) / columns.temp, return_inverse=True)
+    # math.exp, not np.exp (the two differ in the last bit on some inputs), once a distinct value
+    prob_ratios = np.fromiter(map(math.exp, exponents.tolist()), float, exponents.size)[at]
     p1, p2 = np.empty(n), np.empty(n)
     for rows, _, logits in columns.by_width():
         # rows of one width, so each row's softmax is the per-record one
         probs = softmax(logits, columns.temp[rows, None])
         p1[rows], p2[rows] = probs[:, 0], probs[:, 1]
-    ratio = iter(ratios.tolist())
-    scatter = tuple(
-        ScatterPoint(step=step, z1=a, z2=b, p1=q1, p2=q2, ratio=next(ratio) if d else None)
-        for step, a, b, q1, q2, d in zip(
-            columns.step.tolist(), z1.tolist(), z2.tolist(), p1.tolist(), p2.tolist(),
-            defined.tolist(),
-        )
-    )
+    scatter = Scatter(columns.step.view(), z1, z2, p1, p2)
+    for column in scatter:
+        column.flags.writeable = False  # a view, so the trace's own step column stays writeable
     return AnalysisReport(
         theta=theta,
         record_count=n,
@@ -110,33 +107,38 @@ def analyze_trace(trace: TraceFile, theta: float, bins: int = DEFAULT_BINS) -> A
     )
 
 
-def _write_hist(hist: Histogram, path: Path) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["bin_left", "bin_right", "count"])
-        for left, right, count in zip(hist.edges, hist.edges[1:], hist.counts):
-            w.writerow([left, right, count])
-
-
 def write_report(report: AnalysisReport, outdir: str | Path) -> list[Path]:
     """Write the CSV set (three histograms + scatter) into outdir."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = [
-        out / "top1_hist.csv",
-        out / "ratio_hist.csv",
-        out / "prob_ratio_hist.csv",
-        out / "scatter.csv",
-    ]
-    _write_hist(report.top1_hist, paths[0])
-    _write_hist(report.ratio_hist, paths[1])
-    _write_hist(report.prob_ratio_hist, paths[2])
-    with paths[3].open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["step", "z1", "z2", "p1", "p2", "ratio"])
-        for p in report.scatter:
-            w.writerow([p.step, p.z1, p.z2, p.p1, p.p2, "" if p.ratio is None else p.ratio])
+    paths = [out / f"{name}.csv" for name in ("top1_hist", "ratio_hist", "prob_ratio_hist", "scatter")]
+    for hist, path in zip((report.top1_hist, report.ratio_hist, report.prob_ratio_hist), paths):
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["bin_left", "bin_right", "count"])
+            w.writerows(zip(hist.edges, hist.edges[1:], hist.counts))
+    _write_scatter(report.scatter, paths[3])
     return paths
+
+
+def _write_scatter(scatter: Scatter, path: Path) -> None:
+    """The rows csv.writer would write (a float's text is its repr), a chunk of
+    records at a time. The `z1,z2,p1,p2,ratio` tail of each distinct row,
+    keyed by its bits (so -0.0 is not 0.0), is formatted once while the tails
+    held are below `_BLOCK_FLOATS` floats (then they are dropped)."""
+    tails: dict[bytes, str] = {}
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write("step,z1,z2,p1,p2,ratio\n")
+        for start in range(0, scatter.step.size, _CHUNK):
+            block = np.stack([column[start : start + _CHUNK] for column in scatter[1:]], axis=1)
+            keys = block.view(np.dtype((np.void, block.itemsize * 4))).ravel().tolist()
+            if 4 * len(tails) >= _BLOCK_FLOATS:
+                tails = {}
+            for key, (z1, z2, p1, p2) in zip(keys, block.tolist()):
+                if key not in tails:
+                    tails[key] = f"{z1!r},{z2!r},{p1!r},{p2!r}," + (repr(z2 / z1) if z1 > 0 else "")
+            steps = scatter.step[start : start + _CHUNK].tolist()
+            fh.write("".join(map("%d,%s\n".__mod__, zip(steps, map(tails.__getitem__, keys)))))
 
 
 def summarize(report: AnalysisReport) -> str:

@@ -238,10 +238,10 @@ class _WindowIds:
 
 class _MemoisedModel(_WindowIds):
     """The window memo of a model whose subclass keeps a `_memo` and computes
-    `_window_logits(w)`. An entry is [logits, TopTwo or None, temperature, CDF or None]."""
+    `_window_logits(w, window)`. An entry is [logits, TopTwo or None, temperature, CDF or None]."""
 
-    def _miss(self, w: int) -> list:
-        z = self._window_logits(w)
+    def _miss(self, w: int, window: tuple[int, ...] | None = None) -> list:
+        z = self._window_logits(w, self.window(w) if window is None else window)
         z.flags.writeable = False
         entry = [z, None, None, None]
         memo = self._memo
@@ -333,9 +333,9 @@ class SyntheticTargetModel(_MemoisedModel):
     def order(self) -> int:
         return self.config.order
 
-    def _window_logits(self, w: int) -> np.ndarray:
+    def _window_logits(self, w: int, window: tuple[int, ...]) -> np.ndarray:
         cfg = self.config
-        rng = window_rng(cfg.seed, self.window(w), _TARGET_SALT)
+        rng = window_rng(cfg.seed, window, _TARGET_SALT)
         u = np.maximum(rng.random(cfg.vocab_size), 1e-12)
         # offset + spread * -log(-log(u)) in place, as -spread * x is exactly -(spread * x)
         np.log(np.negative(np.log(u, out=u), out=u), out=u)
@@ -360,11 +360,12 @@ class PerturbedDraftModel(_MemoisedModel):
     def order(self) -> int:
         return self.target.order
 
-    def _window_logits(self, w: int) -> np.ndarray:
-        z = self.target.logits_at(w)  # the draft shares the target's windows, so their ids
+    def _window_logits(self, w: int, window: tuple[int, ...]) -> np.ndarray:
+        # the draft shares the target's windows, so their ids; a target miss takes this window
+        z = (self.target._memo.get(w) or self.target._miss(w, window))[0]
         if self.config.noise_scale == 0:
             return z
-        rng = window_rng(self.config.noise_seed, self.window(w), _DRAFT_SALT)
+        rng = window_rng(self.config.noise_seed, window, _DRAFT_SALT)
         n = rng.standard_normal(self.vocab_size)  # z + noise_scale * n, into n: z is read-only
         return np.add(np.multiply(n, self.config.noise_scale, out=n), z, out=n)
 

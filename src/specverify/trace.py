@@ -484,7 +484,12 @@ def _concatenated(parts: list[list[np.ndarray]], rows: _TopKRows) -> TraceColumn
 
 def read_trace(source: str | Path) -> TraceFile:
     """Parse and validate a trace file; errors cite the offending record."""
-    lines = Path(source).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(source).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # read_text decodes all of the file's bytes in one call
+        at = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())  # lines as above
+        raise TraceFormatError(
+            f"{source}: line {at}: byte {exc.object[exc.start]:#04x} is not UTF-8") from exc
     if not lines:
         raise TraceFormatError(f"{source}: empty file, missing header")
     head = lines[0].split(" ", 3)

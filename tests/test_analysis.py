@@ -1,10 +1,12 @@
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specverify.analysis import _histogram
+from specverify.analysis import _histogram, analyze_trace
+from specverify.trace import TraceFile, TraceHeader, TraceRecord
 
 
 @given(
@@ -34,3 +36,17 @@ def test_histogram_bins_every_finite_value(values, bins):
             return
     assert hist.edges == tuple(numpy_edges.tolist())
     assert hist.counts == tuple(counts.tolist())
+
+
+def test_scatter_is_read_only_columns_of_the_trace():
+    """One row per record; the columns refuse writes, and the trace's own step
+    column stays writeable."""
+    records = [TraceRecord(7, ((1, 2.0), (0, 1.0)), 1.0), TraceRecord(3, ((0, -0.0), (1, -1.0)), 0.5)]
+    trace = TraceFile(TraceHeader(4), records)
+    scatter = analyze_trace(trace, 0.9).scatter
+    assert scatter.step.tolist() == [7, 3] and scatter.z1.tolist() == [2.0, -0.0]
+    assert scatter.z2.tolist() == [1.0, -1.0] and scatter.p1[0] + scatter.p2[0] == pytest.approx(1.0)
+    for column in scatter:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    assert trace.columns.step.flags.writeable

@@ -505,6 +505,21 @@ class TestExitCodes:
         assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"record 2 (line 3): {named}" in capsys.readouterr().err
 
+    # lines end as str.splitlines() ends them: \r\n is one break, \x0b another; the
+    # long producer puts the bad byte past the first 8 KiB of the file
+    @pytest.mark.parametrize("command", ["analyze", "replay"])
+    def test_non_utf8_trace_is_2_and_names_the_line(self, command, tmp_path, capsys):
+        path = tmp_path / "t.trace"
+        path.write_bytes(
+            b"specverify-trace v1 vocab=64 producer=" + b"x" * 10_000 + b"\r\n"
+            b"step=0 ctx=- temp=1 draft=- topk=3:2.5,1:1.25\x0b"
+            b"step=1 ctx=- temp=1 draft=- topk=3:2.5,1:1.\xff25\n"
+        )
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 3: byte 0xff is not UTF-8" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     # valid records whose values numpy cannot bin by itself
     @pytest.mark.parametrize(
         "topks, binned_ratios, outside",

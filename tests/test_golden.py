@@ -7,7 +7,8 @@ depend on where the test runs. A refactor that changes any CSV, trace,
 report or printed summary byte changes a digest here.
 
 `scripts/run_ablations.py --max-tokens 600` is pinned the same way, by the
-digest of each CSV it writes.
+digest of each CSV it writes, and `scripts/make_decoupling_report.py` by one
+digest of its stdout and every file it writes.
 
 Print the current digests (to refresh them after a deliberate output change):
 
@@ -129,17 +130,37 @@ ABLATION_GOLDEN = {
 }
 
 
-def ablation_digests(outdir: Path) -> dict[str, str]:
-    """Run `run_ablations.py --max-tokens 600` in-process; digest each CSV."""
-    argv = [str(ABLATIONS), "--max-tokens", "600", "--outdir", str(outdir)]
-    old = sys.argv
-    sys.argv = argv
+DECOUPLING = ABLATIONS.with_name("make_decoupling_report.py")
+DECOUPLING_GOLDEN = "b426de690be99a78bc5288ec0f01d804d803a0da638b2adc4eb3b8e23a23204d"
+
+
+def run_script(script: Path, *args: str) -> str:
+    """Run a script in-process with argv `args`; return its stdout."""
+    old, out = sys.argv, io.StringIO()
+    sys.argv = [str(script), *args]
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            runpy.run_path(str(ABLATIONS), run_name="__main__")
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(script), run_name="__main__")
     finally:
         sys.argv = old
+    return out.getvalue()
+
+
+def ablation_digests(outdir: Path) -> dict[str, str]:
+    """Run `run_ablations.py --max-tokens 600` in-process; digest each CSV."""
+    run_script(ABLATIONS, "--max-tokens", "600", "--outdir", str(outdir))
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(outdir.glob("*.csv"))}
+
+
+def decoupling_digest(outdir: Path) -> str:
+    """Run `make_decoupling_report.py --outdir outdir` in-process; digest its
+    stdout (with outdir spelled `OUTDIR`) and every file it wrote, in name order."""
+    h = hashlib.sha256(run_script(DECOUPLING, "--outdir", str(outdir))
+                       .replace(str(outdir), "OUTDIR").encode("utf-8") + b"\0")
+    for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
+        h.update(path.relative_to(outdir).as_posix().encode("utf-8") + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 def case_digest(name: str, workdir: Path) -> str:
@@ -175,6 +196,10 @@ def test_ablation_csv_digests(tmp_path):
     assert ablation_digests(tmp_path) == ABLATION_GOLDEN
 
 
+def test_decoupling_report_digest(tmp_path):
+    assert decoupling_digest(tmp_path) == DECOUPLING_GOLDEN
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -184,3 +209,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         for name, digest in ablation_digests(Path(d)).items():
             print(f'    "{name}": "{digest}",', file=sys.stdout)
+    with tempfile.TemporaryDirectory() as d:
+        print(f'DECOUPLING_GOLDEN = "{decoupling_digest(Path(d))}"', file=sys.stdout)

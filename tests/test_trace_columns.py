@@ -9,12 +9,19 @@ deliberate difference is the strict integer grammar: a step, ctx, draft or
 top-k token that `int()` accepts but that is not ASCII decimal digits, a
 step of 2^63 or more, or a ctx of 2^64 or more, is rejected naming its
 record and line.
+
+`analyze_trace` must equal the oracle's per-record analysis in every report
+field, bit for bit, and `write_report`'s scatter.csv, which formats each
+distinct row once, must have the bytes of the oracle's one `csv.writer` row
+per record.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,8 +30,9 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import trace_oracle
+from specverify import analysis
 from specverify import trace as trace_module
-from specverify.analysis import analyze_trace
+from specverify.analysis import AnalysisReport, Histogram, Scatter, analyze_trace, write_report
 from specverify.trace import (
     TraceFile,
     TraceFormatError,
@@ -169,13 +177,28 @@ def oracle_outcome(path):
     return result
 
 
-def report(analyze) -> str:
-    """The report's repr, which shows every float bit for bit (-0.0 too), or
-    the ValueError that analysis raised."""
-    try:
-        return repr(analyze())
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+def report_bits(report: AnalysisReport) -> dict:
+    """Every field of a report bit for bit, with its type: a float as its
+    bytes (so -0.0 is not 0.0), a histogram with its edges as bytes, and the
+    scatter as each column's dtype, shape and bytes."""
+
+    def bits(value):
+        if isinstance(value, Histogram):
+            return np.array(value.edges, dtype=np.float64).tobytes(), value.counts, value.outside
+        if isinstance(value, Scatter):
+            return [(column.dtype.str, column.shape, column.tobytes()) for column in value]
+        return np.float64(value).tobytes() if isinstance(value, float) else value
+
+    return {f.name: (type(v := getattr(report, f.name)).__name__, bits(v)) for f in fields(report)}
+
+
+def written_csvs(report: AnalysisReport, outdir: Path, points=None) -> list[bytes]:
+    """The bytes of write_report's four CSVs; with the oracle's scatter points,
+    its scatter.csv is the oracle's, one csv.writer row per point."""
+    paths = write_report(report, outdir)
+    if points is not None:
+        trace_oracle.write_scatter(points, paths[3])
+    return [path.read_bytes() for path in paths]
 
 
 def write_lines(tmp_path_factory, lines):
@@ -386,9 +409,61 @@ def test_top_k_texts_are_accepted_as_the_grammar_and_conversions_accept_them(tex
 def test_ragged_analysis_equals_the_per_record_analysis(tmp_path_factory, lines, theta):
     path = write_lines(tmp_path_factory, lines)
     _, records = trace_oracle.read_trace(path)
-    assert report(lambda: analyze_trace(read_trace(path), theta)) == report(
-        lambda: trace_oracle.analyze_records(records, theta)
-    )
+    new = analyze_trace(read_trace(path), theta)
+    old, points = trace_oracle.analyze_records(records, theta)
+    assert report_bits(new) == report_bits(old)
+    assert written_csvs(new, path.with_name("new")) == written_csvs(old, path.with_name("old"), points)
+
+
+# top-1/top-2 logits for scatter rows: subnormals, both zeros, z1 <= 0, and a
+# z2/z1 that overflows to -inf (-1e300 under a subnormal z1)
+SCATTER_LOGITS = [1e300, 3.0, 1.0, 0.1, 2.2250738585072014e-308, 5e-324, 0.0, -0.0, -5e-324,
+                  -1.0, -1e300]
+SCATTER_TEMPS = [1.0, 0.4, 2.5, 5e-324]
+
+
+def scatter_lines(rows: list[list[float]], picks: list[tuple[int, float]]) -> list[str]:
+    """A trace of rows[i] at temperature t for each pick (i, t), one step each;
+    the tokens of a row are 0, 1, ... in its (descending) logit order."""
+    return [f"specverify-trace v1 vocab={VOCAB} producer=scatter test"] + [
+        f"step={step} ctx=- temp={temp:.17g} draft=- topk="
+        + ",".join(f"{tok}:{z:.17g}" for tok, z in enumerate(rows[row]))
+        for step, (row, temp) in enumerate(picks)
+    ]
+
+
+@st.composite
+def scatter_traces(draw) -> list[str]:
+    """A trace of ragged top-k rows, each repeated at other steps and
+    temperatures, and each also with the sign of its zero z1 or z2 flipped."""
+    rows = draw(st.lists(st.lists(st.sampled_from(SCATTER_LOGITS), min_size=2, max_size=5)
+                         .map(lambda row: sorted(row, reverse=True)), min_size=1, max_size=4))
+    rows += [[-z if i < 2 and z == 0 else z for i, z in enumerate(row)] for row in rows]
+    picks = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.sampled_from(SCATTER_TEMPS)),
+                          min_size=1, max_size=40))
+    return scatter_lines(rows, picks)
+
+
+@given(lines=scatter_traces(), chunk=st.sampled_from([1, 3, 1024]), held=st.sampled_from([4, 12, 2**17]))
+@example(  # each case once: -0 against 0 in z1 and in z2, an empty ratio, a -inf ratio, subnormals
+    lines=scatter_lines(
+        [[0.0, -1.0], [-0.0, -1.0], [1.0, 0.0, -1.0], [1.0, -0.0], [5e-324, -1e300],
+         [2.2250738585072014e-308, 5e-324, 0.0]],
+        [(0, 1.0), (1, 1.0), (2, 0.4), (3, 0.4), (2, 0.4), (2, 2.5), (4, 1.0), (5, 5e-324), (0, 1.0)],
+    ),
+    chunk=2, held=8,
+)
+@settings(max_examples=300, deadline=None)
+def test_scatter_csv_is_the_per_record_csv_writer_output(tmp_path_factory, lines, chunk, held):
+    """write_report's scatter.csv, in chunks of `chunk` records and holding
+    the tails of at most `held` floats, has the oracle's csv.writer bytes."""
+    path = write_lines(tmp_path_factory, lines)
+    _, points = trace_oracle.analyze_records(trace_oracle.read_trace(path)[1], 0.9)
+    with mock.patch.object(analysis, "_CHUNK", chunk), mock.patch.object(analysis, "_BLOCK_FLOATS", held):
+        new = write_report(analyze_trace(read_trace(path), 0.9), path.with_name("new"))[3]
+    old = path.with_name("old.csv")
+    trace_oracle.write_scatter(points, old)
+    assert new.read_bytes() == old.read_bytes()
 
 
 def test_records_handed_in_are_validated_with_the_oracles_message():

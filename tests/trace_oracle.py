@@ -5,14 +5,17 @@ tests. The reader parses and validates one record at a time with
 `int`/`float` on split fields, the writer validates and formats one record
 at a time, cycles are grouped by a loop over the runs of drafted records,
 replay decides one cycle at a time, and analysis takes a 1-D softmax per
-record. `decode` is the draft-verify loop with no cycle memo: it drafts,
-scores and verifies every cycle anew, and hashes each record's context whole.
+record and builds one `ScatterPoint` per record, which `write_scatter`
+writes with `csv.writer` one row at a time. `decode` is the draft-verify
+loop with no cycle memo: it drafts, scores and verifies every cycle anew,
+and hashes each record's context whole.
 Its tree mode builds the full draft tree with `build_draft_tree` and walks it
 with `verify_tree`, where the engine walks only the path verification follows.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 import specverify.trace
-from specverify.analysis import DEFAULT_BINS, AnalysisReport, Histogram, ScatterPoint, _histogram
+from specverify.analysis import DEFAULT_BINS, AnalysisReport, Histogram, Scatter, _histogram
 from specverify.engine import CostModel, DecodeConfig, DecodeMetrics, check_prompt, metrics_from_cycles
 from specverify.logits import TopTwo, logit_ratio, top_two
 from specverify.models import ScoringModel, check_tree_size, draft_chain, window_reader
@@ -249,10 +252,21 @@ def replay_cycles(trace: TraceFile, policy: VerificationPolicy, k: int) -> list[
     return results
 
 
+@dataclass(frozen=True)
+class ScatterPoint:
+    step: int
+    z1: float
+    z2: float
+    p1: float
+    p2: float
+    ratio: float | None
+
+
 def analyze_records(
     records: list[TraceRecord], theta: float, bins: int = DEFAULT_BINS
-) -> AnalysisReport:
-    """Build the report for one trace's records at relaxation threshold theta."""
+) -> tuple[AnalysisReport, list[ScatterPoint]]:
+    """Build the report for one trace's records at relaxation threshold theta,
+    and its scatter as one point per record."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
     if not records:
@@ -291,8 +305,20 @@ def analyze_records(
         top1_hist=_histogram(top1s, bins),
         ratio_hist=_histogram(ratios, bins) if ratios else Histogram((), ()),
         prob_ratio_hist=_histogram(prob_ratios, bins),
-        scatter=tuple(scatter),
-    )
+        scatter=Scatter(
+            np.array([p.step for p in scatter], dtype=np.int64),
+            *np.array([(p.z1, p.z2, p.p1, p.p2) for p in scatter], dtype=np.float64).T,
+        ),
+    ), scatter
+
+
+def write_scatter(points: list[ScatterPoint], path: Path) -> None:
+    """scatter.csv, one csv.writer row per point."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["step", "z1", "z2", "p1", "p2", "ratio"])
+        for p in points:
+            w.writerow([p.step, p.z1, p.z2, p.p1, p.p2, "" if p.ratio is None else p.ratio])
 
 
 @dataclass(frozen=True)
