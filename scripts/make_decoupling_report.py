@@ -10,6 +10,7 @@ from pathlib import Path
 
 from specverify.analysis import analyze_trace, write_report
 from specverify.cli import main as cli
+from specverify.logits import logit_ratios
 from specverify.trace import read_trace
 
 FIXTURE_SPEC = Path(__file__).resolve().parent / "decoupling_spec.json"
@@ -32,8 +33,7 @@ def main() -> None:
     write_report(report, args.outdir)
 
     s = report.scatter
-    defined = s.z1 > 0  # where the ratio z2/z1 is defined
-    zone = (s.p2[defined] / s.p1[defined])[s.z2[defined] / s.z1[defined] > args.theta]
+    zone = (s.p2 / s.p1)[logit_ratios(s.z1, s.z2) > args.theta]
     low, high = zone.min().item(), zone.max().item()
     print(f"records               : {report.record_count}")
     print(f"relaxation zone r>{args.theta:g} : {report.relaxation_fraction:.4f}")

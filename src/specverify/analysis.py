@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logits import softmax
+from .logits import check_theta, logit_ratio, logit_ratios, softmax
 from .trace import _BLOCK_FLOATS, _CHUNK, TraceFile
 
 DEFAULT_BINS = 40
@@ -74,16 +74,15 @@ def _histogram(values, bins: int) -> Histogram:
 
 def analyze_trace(trace: TraceFile, theta: float, bins: int = DEFAULT_BINS) -> AnalysisReport:
     """Build the report for one trace at relaxation threshold theta."""
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    check_theta(theta)
     columns = trace.columns
     n = len(columns)
     if not n:
         raise ValueError("cannot analyze an empty trace")
     _, _, z1, z2 = columns.top_two()
-    defined = z1 > 0
-    with np.errstate(over="ignore"):  # overflow gives +-inf, as with Python floats
-        ratios = z2[defined] / z1[defined]
+    ratios = logit_ratios(z1, z2)
+    defined = ratios[~np.isnan(ratios)]
+    with np.errstate(over="ignore"):  # overflow gives -inf, as with Python floats
         exponents, at = np.unique((z2 - z1) / columns.temp, return_inverse=True)
     # math.exp, not np.exp (the two differ in the last bit on some inputs), once a distinct value
     prob_ratios = np.fromiter(map(math.exp, exponents.tolist()), float, exponents.size)[at]
@@ -98,10 +97,10 @@ def analyze_trace(trace: TraceFile, theta: float, bins: int = DEFAULT_BINS) -> A
     return AnalysisReport(
         theta=theta,
         record_count=n,
-        ratio_defined_count=ratios.size,
+        ratio_defined_count=defined.size,
         relaxation_fraction=int(np.count_nonzero(ratios > theta)) / n,
         top1_hist=_histogram(z1, bins),
-        ratio_hist=_histogram(ratios, bins) if ratios.size else Histogram((), ()),
+        ratio_hist=_histogram(defined, bins) if defined.size else Histogram((), ()),
         prob_ratio_hist=_histogram(prob_ratios, bins),
         scatter=scatter,
     )
@@ -136,7 +135,8 @@ def _write_scatter(scatter: Scatter, path: Path) -> None:
                 tails = {}
             for key, (z1, z2, p1, p2) in zip(keys, block.tolist()):
                 if key not in tails:
-                    tails[key] = f"{z1!r},{z2!r},{p1!r},{p2!r}," + (repr(z2 / z1) if z1 > 0 else "")
+                    r = logit_ratio(z1, z2)
+                    tails[key] = f"{z1!r},{z2!r},{p1!r},{p2!r}," + ("" if r is None else repr(r))
             steps = scatter.step[start : start + _CHUNK].tolist()
             fh.write("".join(map("%d,%s\n".__mod__, zip(steps, map(tails.__getitem__, keys)))))
 

@@ -238,8 +238,9 @@ def decode(
     if recorder is not None and config.mode != "chain":
         raise ValueError("field 'mode': trace recording requires chain mode")
 
+    # one reader per model for every cycle; a score-only adapter checks its order here
+    reader, draft_reader = window_reader(target), window_reader(draft)
     window = max(target.order, draft.order)
-    reader = window_reader(target)
     step, top_two_at, logits_at = reader.step, reader.top_two_at, reader.logits_at
     k, policy = config.k, config.policy
     ctx = list(prompt)
@@ -254,7 +255,6 @@ def decode(
         # a node of the full tree has at most vocab_size children, and the bill counts them all
         width = min(config.tree_top_k, target.vocab_size)
         steps_per_cycle = sum(width**d for d in range(1, k + 1))
-        draft_reader = window_reader(draft)
     # sampled drafting draws from gen, so only greedy chain and tree cycles are kept
     deterministic = config.mode == "tree" or config.draft_mode == "greedy"
     cap = CYCLE_MEMO_TOKENS // ((k + 2) * window)
@@ -291,7 +291,7 @@ def decode(
         if config.mode == "tree":
             positions = tree_path(tail, ids)
         else:
-            drafts = draft_walk(draft, tail, k, config.temperature, config.draft_mode, gen)
+            drafts = draft_walk(draft_reader, tail, k, config.temperature, config.draft_mode, gen)
             if recorder is not None:
                 drafts = list(drafts)  # the trace records every draft
             positions = chain_positions()

@@ -82,9 +82,6 @@ class ExperimentSpec:
             for i, value in enumerate(grid):
                 if value in grid[:i]:  # a row is keyed by its grid coordinates
                     raise ValueError(f"field '{name}': duplicate value {value}")
-        for t in self.theta:
-            if not 0.0 < t <= 1.0:
-                raise ValueError(f"field 'theta': {t} not in (0, 1]")
         if self.repetitions < 1:
             raise ValueError("field 'repetitions': must be >= 1")
         if self.repetitions >= 2**63:  # a row's repetition is a signed 64-bit integer

@@ -10,6 +10,7 @@ yields a ratio <= 0, which the strict `> theta` test rejects naturally.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +41,25 @@ def _as_logit_array(values, rows: bool = False) -> np.ndarray:
     return z
 
 
+def check_theta(theta) -> None:
+    """Refuse a theta that is not a real number in (0, 1]; a bool or NaN is not."""
+    if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
+        raise ValueError(f"field 'theta': expected float, got {theta!r}")
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"field 'theta': {theta} not in (0, 1]")
+
+
 def logit_ratio(z1: float, z2: float) -> float | None:
     """Ratio z2/z1 of the top-2 logits; None when z1 <= 0 (undefined)."""
     if z1 <= 0.0:
         return None
     return z2 / z1
+
+
+def logit_ratios(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """logit_ratio of each (z1, z2) pair of two columns, NaN where that is None."""
+    with np.errstate(over="ignore"):  # overflow gives +-inf, as with Python floats
+        return np.divide(z2, z1, out=np.full(np.shape(z1), np.nan), where=np.greater(z1, 0.0))
 
 
 def top_two(values) -> TopTwo:
@@ -76,8 +91,7 @@ def adaptive_margin_check(top: TopTwo, theta: float) -> bool:
     the ratio form is authoritative. Returns False when the ratio is undefined
     (z1 <= 0), which disables relaxation for the step.
     """
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    check_theta(theta)
     if top.ratio is None:
         return False
     return top.ratio > theta

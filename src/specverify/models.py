@@ -25,6 +25,7 @@ in-place edit raises instead.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import operator
 import struct
 from collections import OrderedDict
@@ -288,6 +289,11 @@ class _ScoreOnly(_WindowIds):
 
     def __init__(self, model: ScoringModel):
         self.model, self.vocab_size, self.order = model, model.vocab_size, model.order
+        for name, low, high in (("vocab_size", 2, np.inf), ("order", 1, MAX_ORDER)):
+            value = getattr(self, name)
+            if type(value) is bool or not (isinstance(value, numbers.Integral) and low <= value <= high):
+                raise ValueError(
+                    f"{type(model).__name__}.{name} {value!r} is not an int in [{low}, {high}]")
         self._init_ids()
         self._opened: tuple[int, Sequence[int]] | None = None
 
@@ -302,6 +308,8 @@ class _ScoreOnly(_WindowIds):
         z = self.model.score(list(window))
         if np.shape(z) != (self.vocab_size,):  # else a token past the vocabulary goes unchecked
             raise ValueError(f"score returned shape {np.shape(z)}, not ({self.vocab_size},)")
+        if not np.isfinite(z).all():  # greedy drafting and tree ranking read it unchecked
+            raise ValueError(f"{type(self.model).__name__}.score returned non-finite logits")
         return z
 
     def top_two_at(self, w: int) -> TopTwo:
@@ -313,8 +321,8 @@ class _ScoreOnly(_WindowIds):
 
 def window_reader(model: ScoringModel) -> _WindowIds:
     """Id-keyed reads (`logits_at`, `top_two_at`, `cdf_at`) of any scoring model:
-    a synthetic model's own memo, or an uncached adapter around `score`."""
-    return model if isinstance(model, _MemoisedModel) else _ScoreOnly(model)
+    a synthetic model's own memo, or an uncached adapter around `score` (its own reader)."""
+    return model if isinstance(model, _WindowIds) else _ScoreOnly(model)
 
 
 class SyntheticTargetModel(_MemoisedModel):

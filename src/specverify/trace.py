@@ -39,6 +39,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .engine import CostModel, DecodeMetrics, context_hasher, hash_value, metrics_from_counts
+from .logits import logit_ratios
 from .verify import Decision, VerificationPolicy
 from .verify import verify_top_two_chain  # noqa: F401  (perfbench traces trace.verify_top_two_chain)
 
@@ -104,10 +105,6 @@ class TraceColumns:
         """(rows, tokens, logits) for each top-k width: the rows of that width
         in file order, and their entries as 2-D blocks of that width."""
         widths = np.diff(self.offsets)
-        if widths.size and (widths == widths[0]).all():  # one width: views, no gather
-            shape = (widths.size, widths[0])
-            yield np.arange(widths.size), self.tokens.reshape(shape), self.logits.reshape(shape)
-            return
         for width in np.unique(widths).tolist():
             rows = np.flatnonzero(widths == width)
             at = self.offsets[rows, None] + np.arange(width)
@@ -672,16 +669,12 @@ def replay_verify(
     decide_position does."""
     first, bonus = iter_cycles(trace, k)
     n, has_bonus = first.size, bonus >= 0
-    c = trace.columns
-    rows = first[:, None] + np.arange(k)  # (cycles, k) drafted records
-    top, draft = c.offsets[rows], c.draft[rows]  # top: each record's top-1 entry
-    exact = draft == c.tokens[top]
-    accept = exact
+    (v1, v2, z1, z2), draft = trace.columns.top_two(), trace.columns.draft
+    exact = accept = draft == v1  # per record
     if policy.kind == "margin":
-        z1, z2 = c.logits[top], c.logits[top + 1]
-        with np.errstate(all="ignore"):  # a ratio is read only where z1 > 0; it may overflow
-            relaxed = (draft == c.tokens[top + 1]) & (z1 > 0) & (z2 / z1 > policy.theta)
-        accept = exact | relaxed
+        accept = exact | ((draft == v2) & (logit_ratios(z1, z2) > policy.theta))
+    rows = first[:, None] + np.arange(k)  # (cycles, k) drafted records
+    exact, accept = exact[rows], accept[rows]
     leading = np.logical_and.accumulate(accept, axis=1)  # the positions before a rejection
     accepted = leading.sum(axis=1)
     rejected = accepted < k

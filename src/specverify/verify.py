@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .logits import TopTwo, adaptive_margin_check, top_two
+from .logits import TopTwo, adaptive_margin_check, check_theta, top_two
 
 DEFAULT_THETA = 0.9
 
@@ -48,8 +48,7 @@ class VerificationPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("strict", "margin"):
             raise ValueError(f"field 'policy': unknown value {self.kind!r}")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"field 'theta': {self.theta} not in (0, 1]")
+        check_theta(self.theta)
 
     @classmethod
     def strict(cls) -> "VerificationPolicy":
@@ -61,8 +60,9 @@ class VerificationPolicy:
 
     @classmethod
     def from_name(cls, kind: str, theta: float) -> "VerificationPolicy":
-        """Policy by kind name; "strict" ignores theta."""
-        return cls(kind) if kind == "strict" else cls(kind, theta)
+        """Policy by kind name; "strict" checks theta, then drops it."""
+        policy = cls(kind, theta)  # the one check of kind and theta
+        return cls.strict() if kind == "strict" else policy
 
 
 @dataclass(frozen=True)

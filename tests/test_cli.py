@@ -253,6 +253,13 @@ class TestAnalyze:
             assert main(["analyze", str(trace_path), "--theta", theta, "--out", str(tmp_path / "a")]) == 0
             assert "1.0000 of records" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("theta", ["1.5", "0", "-0", "nan"])
+    def test_theta_outside_its_domain_is_2(self, theta, tmp_path, capsys):
+        trace_path = tmp_path / "t.trace"
+        make_trace(trace_path, [((0, 8.0), (1, 2.0))])
+        assert main(["analyze", str(trace_path), "--theta", theta, "--out", str(tmp_path / "a")]) == 2
+        assert f"field 'theta': {float(theta)} not in (0, 1]" in capsys.readouterr().err
+
     def test_low_ratio_trace_fraction_zero(self, tmp_path, capsys):
         trace_path = tmp_path / "low.trace"
         make_trace(trace_path, [((0, 8.0), (1, 2.0)), ((3, 4.0), (2, 1.0))] * 10)

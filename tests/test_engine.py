@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trace_oracle
-from specverify import engine, verify
+from specverify import engine, models, verify
 from specverify.engine import (
     CostModel,
     DecodeConfig,
@@ -23,6 +24,7 @@ from specverify.models import (
     SyntheticTargetConfig,
     SyntheticTargetModel,
     draft_chain,
+    window_reader,
 )
 from specverify.verify import VerificationPolicy
 
@@ -410,6 +412,64 @@ def test_a_score_of_the_wrong_length_is_refused(mode, size):
     cfg = DecodeConfig(policy=MARGIN_09, k=3, max_tokens=20, mode=mode)
     with pytest.raises(ValueError, match=rf"score returned shape \({size},\), not \(8,\)"):
         decode(target, draft, cfg, [1, 2])
+
+
+def score_only(name, logits, order=2, vocab_size=8):
+    """A ScoringModel of class `name` with only `score`, which returns `logits` for any context."""
+    return type(name, (), {"vocab_size": vocab_size, "order": order,
+                           "score": lambda self, context: np.array(logits, dtype=float)})()
+
+
+ALL_NAN, ONE_INF = [np.nan] * 8, [0.5] * 7 + [np.inf]
+
+
+@pytest.mark.parametrize("mode, logits", [("chain", ALL_NAN), ("chain", ONE_INF), ("tree", ALL_NAN),
+                                          ("tree", ONE_INF)])
+def test_a_non_finite_score_is_refused_naming_the_model(mode, logits):
+    """Greedy drafting (argmax) and tree ranking read a score-only draft's
+    vector unchecked, so its adapter checks it."""
+    target = SyntheticTargetModel(SyntheticTargetConfig(seed=1, vocab_size=8))
+    cfg = DecodeConfig(policy=MARGIN_09, k=3, max_tokens=10, mode=mode)
+    with pytest.raises(ValueError, match=r"^NaNDraft\.score returned non-finite logits$"):
+        decode(target, score_only("NaNDraft", logits), cfg, [1, 2])
+
+
+def test_greedy_decode_refuses_a_non_finite_target():
+    with pytest.raises(ValueError, match=r"^NaNTarget\.score returned non-finite logits$"):
+        greedy_decode(score_only("NaNTarget", ALL_NAN), [1, 2], 5)
+
+
+@pytest.mark.parametrize("order", [-1, 0, 2.5])
+def test_a_draft_of_a_bad_order_is_refused(order):
+    target = SyntheticTargetModel(SyntheticTargetConfig(seed=1, vocab_size=8))
+    cfg = DecodeConfig(policy=MARGIN_09, k=3, max_tokens=10)
+    draft = score_only("OddDraft", np.arange(8.0), order=order)
+    with pytest.raises(ValueError, match=rf"^OddDraft\.order {order} is not an int in \[1, 1024\]$"):
+        decode(target, draft, cfg, [1, 2])
+
+
+@pytest.mark.parametrize("field, value", [("order", 1025), ("order", True), ("order", np.float64(2)),
+                                          ("vocab_size", 1), ("vocab_size", 8.0), ("vocab_size", None)])
+def test_the_score_only_adapter_refuses_a_bad_order_or_vocabulary(field, value):
+    """A huge order would never return from computing the window-id modulus."""
+    model = score_only("OddModel", np.arange(8.0), **{field: value})
+    with pytest.raises(ValueError, match=rf"^OddModel\.{field} {re.escape(repr(value))} is not an int in "):
+        window_reader(model)
+    window_reader(score_only("OddModel", np.arange(8.0), order=np.int64(1024)))  # numpy ints are ints
+
+
+@pytest.mark.parametrize("draft_mode", ["greedy", "sample"])
+def test_a_score_only_draft_has_one_adapter_per_decode(draft_mode):
+    """Every chain cycle drafts through the reader decode built, so the
+    adapter's checks run once a decode, not once a cycle."""
+    target = SyntheticTargetModel(SyntheticTargetConfig(seed=1, vocab_size=8))
+    draft = type("ContextDraft", (), {"vocab_size": 8, "order": 2, "score": lambda self, context:
+                                      np.cos(np.arange(8.0) * (1 + sum(context[-2:])))})()
+    cfg = DecodeConfig(policy=MARGIN_09, k=3, max_tokens=200, draft_mode=draft_mode, seed=5)
+    with mock.patch.object(models._ScoreOnly, "_init_ids", autospec=True,
+                           side_effect=models._ScoreOnly._init_ids) as built:
+        _, metrics = decode(target, draft, cfg, [1, 2])
+    assert metrics.cycles > 10 and built.call_count == 1
 
 
 LONG_PROMPT = [i % 64 for i in range(600)]

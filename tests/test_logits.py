@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,15 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specverify.analysis import analyze_trace
 from specverify.logits import (
     TopTwo,
     _softmax,
     adaptive_margin_check,
+    check_theta,
     logit_ratio,
+    logit_ratios,
     softmax,
     top_two,
 )
 from specverify.models import _cdf
+from specverify.trace import TraceFile, TraceHeader, TraceRecord
+from specverify.verify import VerificationPolicy
 
 # logits drawn on a 0.01 grid: exact ties are possible, near-ties below float
 # resolution are not, so argmax comparisons stay meaningful
@@ -119,6 +125,81 @@ class TestLogitRatio:
         assert logit_ratio(c * z1, c * z2) == pytest.approx(
             logit_ratio(z1, z2), rel=1e-12, abs=1e-12
         )
+
+
+# z1 of 0, -0, negative, subnormal and huge; over a subnormal z1, a huge negative
+# z2 overflows z2/z1 to -inf
+RATIO_EDGES = [0.0, -0.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 10.0,
+               1e300, 1.7976931348623157e308, -1e300, -1.7976931348623157e308]
+ratio_floats = st.one_of(st.sampled_from(RATIO_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def top_two_logits(draw):
+    """(z1, z2) with z2 <= z1, ties included."""
+    a, b = draw(ratio_floats), draw(st.one_of(ratio_floats, st.just(None)))
+    return (a, a) if b is None else (max(a, b), min(a, b))
+
+
+@given(st.lists(top_two_logits(), max_size=30))
+@settings(max_examples=400)
+def test_logit_ratios_is_logit_ratio_bit_for_bit(pairs):
+    """The column form gives each pair's logit_ratio bits, NaN where it is None,
+    without a warning (the suite runs with warnings as errors)."""
+    z1, z2 = (np.array([pair[i] for pair in pairs], dtype=np.float64) for i in (0, 1))
+    column = logit_ratios(z1, z2)
+    assert column.shape == z1.shape and column.dtype == np.float64
+    for (a, b), got in zip(pairs, column.tolist()):
+        want = logit_ratio(a, b)
+        if want is None:
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_logit_ratios_edge_columns():
+    z1 = np.array([0.0, -0.0, -1.0, 5e-324, 5e-324, 1e300, 2.0])
+    z2 = np.array([-1.0, -1.0, -2.0, -1e300, 5e-324, -1e300, 2.0])
+    assert logit_ratios(z1, z2).tolist()[3:] == [-np.inf, 1.0, -1.0, 1.0]
+    assert np.isnan(logit_ratios(z1, z2)[:3]).all()
+
+
+BAD_THETAS = [("0.9", "expected float, got '0.9'"), (None, "expected float, got None"),
+              (True, "expected float, got True"), (math.nan, "nan not in (0, 1]"),
+              (0, "0 not in (0, 1]"), (-0.0, "-0.0 not in (0, 1]"), (1.5, "1.5 not in (0, 1]")]
+ONE_RECORD = TraceFile(TraceHeader(4, ""), [TraceRecord(0, ((0, 2.0), (1, 1.0)), 1.0)])
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        check_theta,
+        lambda theta: VerificationPolicy(kind="margin", theta=theta),
+        VerificationPolicy.margin_aware,
+        lambda theta: VerificationPolicy.from_name("strict", theta),
+        lambda theta: VerificationPolicy.from_name("margin", theta),
+        lambda theta: adaptive_margin_check(top_two([10.0, 9.5]), theta),
+        lambda theta: analyze_trace(ONE_RECORD, theta),
+    ],
+    ids=["check_theta", "policy", "margin_aware", "strict_by_name", "margin_by_name",
+         "adaptive_margin_check", "analyze_trace"],
+)
+@pytest.mark.parametrize("theta, message", BAD_THETAS, ids=[repr(t) for t, _ in BAD_THETAS])
+def test_theta_outside_its_domain_is_refused_by_name(refuse, theta, message):
+    with pytest.raises(ValueError, match=re.escape(f"field 'theta': {message}")):
+        refuse(theta)
+
+
+def test_from_name_checks_the_kind_before_theta():
+    with pytest.raises(ValueError, match=r"^field 'policy': unknown value 'bogus'$"):
+        VerificationPolicy.from_name("bogus", 1.5)
+    assert VerificationPolicy.from_name("strict", 0.5) == VerificationPolicy.strict()
+
+
+@pytest.mark.parametrize("theta", [5e-324, 0.9, 1, 1.0, np.float64(0.5), np.float32(0.25)])
+def test_check_theta_takes_any_real_in_its_domain(theta):
+    check_theta(theta)
+    assert VerificationPolicy.margin_aware(theta).theta == theta
 
 
 class TestAdaptiveMarginCheck:

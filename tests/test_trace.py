@@ -22,7 +22,8 @@ from specverify.trace import (
     replay_verify,
     write_trace,
 )
-from specverify.verify import VerificationPolicy
+from specverify.logits import TopTwo, logit_ratio
+from specverify.verify import Decision, VerificationPolicy, decide_position
 
 import trace_oracle
 from conftest import make_pair
@@ -691,6 +692,23 @@ def test_array_replay_equals_the_per_cycle_tally(case, policy, theta, cost_ratio
     assert array == expected
     if not isinstance(array, tuple):  # the same Python types, so the CSV bytes match too
         assert list(map(type, dataclasses.astuple(array))) == list(map(type, dataclasses.astuple(expected)))
+
+
+@given(case=replay_traces(), policy=st.sampled_from(["strict", "margin"]),
+       theta=st.sampled_from([math.nextafter(0.0, 1.0), 0.9, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_replay_masks_are_decide_position_per_position(case, policy, theta):
+    """Each drafted record replayed alone, as a cycle of k = 1, is counted exact,
+    relaxed or rejected as decide_position decides its draft."""
+    rule = VerificationPolicy.from_name(policy, theta)
+    for record in case[0]:
+        if record.chosen_draft is None:
+            continue
+        (v1, z1), (v2, z2) = record.top_k[:2]
+        label = decide_position(TopTwo(v1, v2, z1, z2, logit_ratio(z1, z2)), record.chosen_draft, rule).label
+        m = replay_verify(TraceFile(TraceHeader(REPLAY_VOCAB, ""), [record]), rule, 1)
+        assert (m.exact_count, m.relaxed_count, m.rejected_count) == (
+            label is Decision.EXACT, label is Decision.RELAXED, label is Decision.REJECTED)
 
 
 class TestStreamedContextHash:
