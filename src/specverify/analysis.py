@@ -87,8 +87,8 @@ def analyze_trace(trace: TraceFile, theta: float, bins: int = DEFAULT_BINS) -> A
     # math.exp, not np.exp (the two differ in the last bit on some inputs), once a distinct value
     prob_ratios = np.fromiter(map(math.exp, exponents.tolist()), float, exponents.size)[at]
     p1, p2 = np.empty(n), np.empty(n)
-    for rows, _, logits in columns.by_width():
-        # rows of one width, so each row's softmax is the per-record one
+    for rows, _, logits in columns.by_width(columns.topk):
+        # each record's list, in rows of one width: each row's softmax is the per-record one
         probs = softmax(logits, columns.temp[rows, None])
         p1[rows], p2[rows] = probs[:, 0], probs[:, 1]
     scatter = Scatter(columns.step.view(), z1, z2, p1, p2)

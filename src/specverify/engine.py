@@ -163,16 +163,18 @@ def check_prompt(prompt: Sequence[int], vocab_size: int) -> None:
     if len(prompt) == 0:
         raise ValueError("prompt must be non-empty")
     for tok in prompt:
+        if not isinstance(tok, (int, np.integer)):
+            raise ValueError(f"prompt token {tok!r} is not an integer")
         if not 0 <= tok < vocab_size:
             raise ValueError(f"prompt token {tok} out of vocabulary range")
 
 
 def greedy_decode(target: ScoringModel, prompt: Sequence[int], n_tokens: int) -> list[int]:
     """Plain autoregressive argmax decode of the target alone."""
-    check_prompt(prompt, target.vocab_size)
+    reader = window_reader(target)  # a score-only adapter checks its vocab_size here
+    check_prompt(prompt, reader.vocab_size)
     if n_tokens < 1:
         raise ValueError("n_tokens must be >= 1")
-    reader = window_reader(target)
     w, out = reader.fold(prompt), []
     for _ in range(n_tokens):
         tok = int(reader.logits_at(w).argmax())
@@ -230,16 +232,16 @@ def decode(
     recorder gets a running hash of the context rather than the context:
     the cost per token does not grow with the context.
     """
-    check_prompt(prompt, target.vocab_size)
-    if target.vocab_size != draft.vocab_size:
+    # one reader per model for every cycle; a score-only adapter checks vocab_size and order here
+    reader, draft_reader = window_reader(target), window_reader(draft)
+    check_prompt(prompt, reader.vocab_size)
+    if reader.vocab_size != draft_reader.vocab_size:
         raise ValueError("target and draft must share a vocabulary")
-    if config.stop_token is not None and not 0 <= config.stop_token < target.vocab_size:
+    if config.stop_token is not None and not 0 <= config.stop_token < reader.vocab_size:
         raise ValueError(f"stop_token {config.stop_token} out of vocabulary range")
     if recorder is not None and config.mode != "chain":
         raise ValueError("field 'mode': trace recording requires chain mode")
 
-    # one reader per model for every cycle; a score-only adapter checks its order here
-    reader, draft_reader = window_reader(target), window_reader(draft)
     window = max(target.order, draft.order)
     step, top_two_at, logits_at = reader.step, reader.top_two_at, reader.logits_at
     k, policy = config.k, config.policy

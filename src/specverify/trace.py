@@ -11,14 +11,17 @@ One header line, then one record per line. Floats are written as decimal with
 proposed at that step; both use `-` when absent. The top-k list is strictly
 descending by logit with ties broken by ascending token id, length >= 2.
 
-A trace is held as numpy columns (`TraceColumns`): each file is parsed and
-each trace formatted once, with array operations. `read_trace` parses and
+A trace is held as numpy columns (`TraceColumns`): each record's fields and
+the id of its top-k list, and the lists, which records may share. Each
+producer finds the lists once, where the trace is made: `TraceRecorder` ranks
+each distinct logit vector once, keyed by its bytes; `read_trace` parses and
 grammar-checks each distinct top-k text once, keyed by the text, and drops
 the texts it holds once they reach `_BLOCK_FLOATS` top-k entries;
-`write_trace` formats each distinct top-k row once. One check, a mask per
-rule over all records, serves `read_trace`, `TraceRecorder` and
-`TraceFile(header, records)`. `TraceRecord` is the row view, built only when
-`TraceFile.records` is read.
+`TraceFile(header, records)` makes a list per record. `write_trace` formats
+each list once within the same bound. One check, a mask per rule over all
+records with the entry rules checked once a list, serves all three
+producers. `TraceRecord` is the row view, built only when `TraceFile.records`
+is read.
 
 A recorded decode writes, per cycle, K draft-carrying records followed by one
 draft-less record holding the (K+1)-th parallel vector; replay groups records
@@ -86,51 +89,55 @@ class TraceHeader:
 
 @dataclass(frozen=True)
 class TraceColumns:
-    """A trace's records as numpy columns, one row per record. Row i's top-k
-    entries are tokens[offsets[i]:offsets[i + 1]] and the logits alike."""
+    """A trace's records as numpy columns, one row per record, and the top-k
+    lists they read, which records may share. Record i's list is topk[i];
+    list j's entries are tokens[offsets[j]:offsets[j + 1]] and the logits
+    alike."""
 
     step: np.ndarray  # int64
     ctx: np.ndarray  # uint64, 0 where has_ctx is False
     has_ctx: np.ndarray  # bool
     temp: np.ndarray  # float64
     draft: np.ndarray  # int64, -1 where absent
-    offsets: np.ndarray  # int64, one more than the rows
+    topk: np.ndarray  # int64, each record's list
+    offsets: np.ndarray  # int64, one more than the lists
     tokens: np.ndarray  # int64
     logits: np.ndarray  # float64
 
     def __len__(self) -> int:
         return self.step.size
 
-    def by_width(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(rows, tokens, logits) for each top-k width: the rows of that width
-        in file order, and their entries as 2-D blocks of that width."""
-        widths = np.diff(self.offsets)
+    def by_width(self, lists) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(at, tokens, logits) for each top-k width among `lists`, list ids or
+        slice(None) for all: the places in `lists` of the lists of that width,
+        in order, and their entries as 2-D blocks of that width."""
+        widths = np.diff(self.offsets)[lists]
         for width in np.unique(widths).tolist():
-            rows = np.flatnonzero(widths == width)
-            at = self.offsets[rows, None] + np.arange(width)
-            yield rows, self.tokens[at], self.logits[at]
+            at = np.flatnonzero(widths == width)
+            entries = self.offsets[:-1][lists][at, None] + np.arange(width)
+            yield at, self.tokens[entries], self.logits[entries]
 
     def rows(self) -> list[TraceRecord]:
         tokens, logits, ends = self.tokens.tolist(), self.logits.tolist(), self.offsets.tolist()
+        lists = [tuple(zip(tokens[a:b], logits[a:b])) for a, b in zip(ends, ends[1:])]
         return [
-            TraceRecord(step, tuple(zip(tokens[a:b], logits[a:b])), temp,
-                        None if draft < 0 else draft, ctx if has_ctx else None)
-            for step, ctx, has_ctx, temp, draft, a, b in zip(
+            TraceRecord(step, lists[j], temp, None if draft < 0 else draft, ctx if has_ctx else None)
+            for step, ctx, has_ctx, temp, draft, j in zip(
                 self.step.tolist(), self.ctx.tolist(), self.has_ctx.tolist(),
-                self.temp.tolist(), self.draft.tolist(), ends, ends[1:],
+                self.temp.tolist(), self.draft.tolist(), self.topk.tolist(),
             )
         ]
 
     def top_two(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(v1, v2, z1, z2): every row's first two top-k entries."""
-        first = self.offsets[:-1]
+        """(v1, v2, z1, z2): every record's first two top-k entries."""
+        first = self.offsets[self.topk]
         return self.tokens[first], self.tokens[first + 1], self.logits[first], self.logits[first + 1]
 
 
-def _columns(step, ctx, has_ctx, temp, draft, widths: np.ndarray, tokens, logits) -> TraceColumns:
+def _columns(step, ctx, has_ctx, temp, draft, topk, widths: np.ndarray, tokens, logits) -> TraceColumns:
     offsets = np.zeros(widths.size + 1, dtype=np.int64)
     np.cumsum(widths, out=offsets[1:])
-    return TraceColumns(step, ctx, has_ctx, temp, draft, offsets, tokens, logits)
+    return TraceColumns(step, ctx, has_ctx, temp, draft, topk, offsets, tokens, logits)
 
 
 def _entry_faults(tokens: np.ndarray, logits: np.ndarray, vocab_size: int) -> list[np.ndarray]:
@@ -165,9 +172,10 @@ def _is_float64(value) -> bool:
 def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> None:
     """Raise TraceFormatError for the first record the trace grammar rejects,
     named by where(i), citing the first rule below that it breaks; each rule
-    is a mask over all records. Columns may be object arrays of values a caller
-    gave, which need not be numbers or fit 64 bits, with None for an absent
-    draft."""
+    is a mask over all records, and the entry rules are checked once a list
+    and flag a record through its list. Columns may be object arrays of values
+    a caller gave, which need not be numbers or fit 64 bits, with None for an
+    absent draft."""
     absent = c.draft == (None if c.draft.dtype == object else -1)
     # per column, in line order (a top-k token before a logit): its field's name and
     # kind, and its values that are not of that kind
@@ -177,8 +185,11 @@ def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> Non
     odd["draft"] &= ~absent
     odd_rows = odd["step"] | odd["ctx"] | odd["temp"] | odd["draft"]
     odd_entries = odd["tokens"] | odd["logits"]
-    if odd_entries.any():  # their records
-        odd_rows[np.repeat(np.arange(len(c)), np.diff(c.offsets))[odd_entries]] = True
+    n_lists = c.offsets.size - 1
+    if odd_entries.any():  # the records of their lists
+        odd_lists = np.zeros(n_lists, dtype=bool)
+        odd_lists[np.repeat(np.arange(n_lists), np.diff(c.offsets))[odd_entries]] = True
+        odd_rows |= odd_lists[c.topk]
     given = c
     if odd_rows.any():  # 0 in the other rules' masks, so that their comparisons hold
         c = replace(c, **{k: np.where(mask, 0, getattr(c, k)) for k, mask in odd.items()})
@@ -186,17 +197,21 @@ def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> Non
     draft = np.where(absent, 0, c.draft)
     with np.errstate(invalid="ignore"):  # NaN in an object array warns as it compares false
         cold = ~((c.temp > 0) & (c.temp < np.inf))
-    entries, big = np.zeros(len(c), dtype=bool), np.zeros(len(c), dtype=bool)
-    for rows, tokens, logits in c.by_width():
+    entries, big = np.zeros(n_lists, dtype=bool), np.zeros(n_lists, dtype=bool)  # per list
+    for lists, tokens, logits in c.by_width(slice(None)):
         ascending = np.sort(tokens, axis=1)
         repeat = (ascending[:, 1:] == ascending[:, :-1]).any(axis=1)
         fault = np.logical_or(*_entry_faults(tokens, logits, vocab_size)).any(axis=1) | repeat
-        entries[rows] = fault | ~_in_order(tokens, logits).all(axis=1)
-        big[rows] = (ascending[:, -1:] >= 2**63).any(axis=1)  # the largest token
+        entries[lists] = fault | ~_in_order(tokens, logits).all(axis=1)
+        big[lists] = (ascending[:, -1:] >= 2**63).any(axis=1)  # the largest token
+
+    def entries_of(i: int) -> slice:
+        """Where record i's top-k entries are in the entry columns."""
+        return slice(c.offsets[c.topk[i]], c.offsets[c.topk[i] + 1])
 
     def bad_entry(i: int) -> str:
         """Record i's first bad entry at its first fault, else its first pair out of order."""
-        tokens, logits = (a[c.offsets[i] : c.offsets[i + 1]] for a in (c.tokens, c.logits))
+        tokens, logits = c.tokens[entries_of(i)], c.logits[entries_of(i)]
         repeat = np.ones(tokens.size, dtype=bool)
         repeat[np.unique(tokens, return_index=True)[1]] = False  # all but each token's first entry
         faults = np.argwhere(np.array([*_entry_faults(tokens, logits, vocab_size), repeat]).T)
@@ -212,7 +227,7 @@ def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> Non
         """Record i's first value, in the order of fields, that is not of its field's kind."""
         for column, (name, kind) in fields.items():
             entry = column in ("tokens", "logits")
-            at = slice(c.offsets[i], c.offsets[i + 1]) if entry else slice(i, i + 1)
+            at = entries_of(i) if entry else slice(i, i + 1)
             values, mask = getattr(given, column)[at], odd[column][at]
             if mask.any():
                 return (f"{name} {values[mask.argmax()]!r} is not "
@@ -222,12 +237,12 @@ def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> Non
         (odd_rows, odd_value),
         (c.step < 0, lambda i: "step must be non-negative"),
         (cold, lambda i: f"temperature {c.temp[i]} must be finite and > 0"),
-        (np.diff(c.offsets) < 2, lambda i: "top-k list needs at least 2 entries"),
-        (entries, bad_entry),  # each entry in turn (range, finite, repeat), then ordering
+        (np.diff(c.offsets)[c.topk] < 2, lambda i: "top-k list needs at least 2 entries"),
+        (entries[c.topk], bad_entry),  # each entry in turn (range, finite, repeat), then ordering
         (~absent & ((draft < 0) | (draft >= vocab_size)),
          lambda i: f"drafted token {c.draft[i]} out of range"),
         # the columns hold signed 64-bit integers and an unsigned 64-bit ctx
-        (big | (c.step >= 2**63) | (draft >= 2**63),
+        (big[c.topk] | (c.step >= 2**63) | (draft >= 2**63),
          lambda i: "step, tokens and draft must be below 2^63"),
         (c.has_ctx & ((c.ctx < 0) | (c.ctx >= 2**64)),
          lambda i: f"ctx {c.ctx[i]} is not an unsigned 64-bit integer"),
@@ -238,20 +253,22 @@ def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> Non
         raise TraceFormatError(f"{where(i)}: {next(text(i) for mask, text in rules if mask[i])}")
 
 
-def _handed_in(step, ctx, temp, draft, widths, tokens, logits, vocab_size: int, where) -> TraceColumns:
+def _handed_in(step, ctx, temp, draft, topk, widths, tokens, logits, vocab_size: int,
+               where) -> TraceColumns:
     """Checked columns of lists a caller handed in, ctx and draft None where
-    absent. Step, ctx and draft (and temperatures, tokens and logits, if the
-    caller passes them so) are checked as object arrays before they have to
-    fit 64 bits, so that a message shows the value given."""
+    absent, and topk each record's list. Step, ctx and draft (and
+    temperatures, tokens and logits, if the caller passes them so) are checked
+    as object arrays before they have to fit 64 bits, so that a message shows
+    the value given."""
     has_ctx = np.array([x is not None for x in ctx], dtype=bool)
     ctx = [0 if x is None else x for x in ctx]
     step, ctx, draft = (np.array(x, dtype=object) for x in (step, ctx, draft))
-    raw = _columns(step, ctx, has_ctx, temp, draft, widths, tokens, logits)
+    raw = _columns(step, ctx, has_ctx, temp, draft, topk, widths, tokens, logits)
     _check(raw, vocab_size, where)
     draft[draft == None] = -1  # elementwise, unlike `is None`
     return TraceColumns(
         step.astype(np.int64), ctx.astype(np.uint64), has_ctx, temp.astype(np.float64, copy=False),
-        draft.astype(np.int64), raw.offsets, tokens.astype(np.int64, copy=False),
+        draft.astype(np.int64), topk, raw.offsets, tokens.astype(np.int64, copy=False),
         logits.astype(np.float64, copy=False),
     )
 
@@ -272,7 +289,7 @@ def _record_columns(records: Sequence[TraceRecord], vocab_size: int, where) -> T
     return _handed_in(
         [r.step for r in records], [r.context_hash for r in records],
         np.array([r.temperature for r in records], dtype=object), [r.chosen_draft for r in records],
-        np.array([len(r.top_k) for r in records], dtype=np.int64),
+        np.arange(len(records)), np.array([len(r.top_k) for r in records], dtype=np.int64),
         np.array([tok for r in records for tok, _ in r.top_k], dtype=object),
         np.array([z for r in records for _, z in r.top_k], dtype=object), vocab_size, where,
     )
@@ -304,16 +321,15 @@ def _trace_from_columns(header: TraceHeader, columns: TraceColumns) -> TraceFile
 
 def write_trace(trace: TraceFile, destination: str | Path) -> None:
     """Write a trace; round-trips bit-exactly through read_trace. Its records
-    were validated when they came into the TraceFile. Each distinct top-k
-    row, keyed by its token and logit bytes, is formatted once while the
-    texts held are below `_BLOCK_FLOATS` top-k entries (then they are
-    dropped), and each distinct temperature once a chunk."""
+    were validated when they came into the TraceFile. Each top-k list is
+    formatted once while the texts held are below `_BLOCK_FLOATS` top-k
+    entries (then they are dropped), and each distinct temperature once a
+    chunk."""
     if len(f"{trace.header.producer}.".splitlines()) > 1:  # as read_trace splits lines
         raise TraceFormatError(f"producer {trace.header.producer!r} contains a line break")
     c = trace.columns
-    templates = {w: ",".join(["%d:%.17g"] * w) for w in np.unique(np.diff(c.offsets)).tolist()}
-    texts: dict[bytes, str] = {}
-    held = 0  # top-k entries of the rows in texts
+    texts: dict[int, str] = {}  # each list's text, by its id
+    held = 0  # top-k entries of the lists in texts
     with open(destination, "w", encoding="utf-8") as fh:
         fh.write(
             f"{_MAGIC} v{FORMAT_VERSION} "
@@ -322,21 +338,16 @@ def write_trace(trace: TraceFile, destination: str | Path) -> None:
         # formatted a chunk at a time, which bounds the strings held at once
         for start in range(0, len(c), _CHUNK):
             rows = slice(start, start + _CHUNK)
-            ends = (c.offsets[start : start + _CHUNK + 1] - c.offsets[start]).tolist()
-            span = slice(c.offsets[start], c.offsets[start] + ends[-1])
-            entries: list = [None] * (2 * ends[-1])
-            entries[0::2], entries[1::2] = c.tokens[span].tolist(), c.logits[span].tolist()
-            # a row's key: the bits of its tokens and logits, interleaved
-            bits = np.stack([c.tokens[span], c.logits[span].view(np.int64)], axis=1).tobytes()
-            topk = []
-            for a, b in zip(ends, ends[1:]):
-                text = texts.get(key := bits[16 * a : 16 * b])
-                if text is None:
-                    if held >= _BLOCK_FLOATS:
-                        texts, held = {}, 0
-                    text = texts[key] = templates[b - a] % tuple(entries[2 * a : 2 * b])
-                    held += b - a
-                topk.append(text)
+            topk = c.topk[rows].tolist()
+            if held >= _BLOCK_FLOATS:
+                texts, held = {}, 0
+            fresh = np.array([j for j in dict.fromkeys(topk) if j not in texts], dtype=np.int64)
+            for at, tokens, logits in c.by_width(fresh):
+                pairs = np.empty((at.size, 2 * tokens.shape[1]), dtype=object)  # Python numbers
+                pairs[:, 0::2], pairs[:, 1::2] = tokens, logits
+                template = ",".join(["%d:%.17g"] * tokens.shape[1])
+                texts.update(zip(fresh[at].tolist(), map(template.__mod__, map(tuple, pairs.tolist()))))
+                held += tokens.size
             # a temperature is > 0 and finite, so equal values have equal bits
             temps = c.temp[rows].tolist()
             temp_texts = {temp: f"{temp:.17g}" for temp in set(temps)}
@@ -345,7 +356,7 @@ def write_trace(trace: TraceFile, destination: str | Path) -> None:
                 f"draft={draft if draft >= 0 else '-'} topk={text}\n"
                 for step, ctx, has_ctx, temp, draft, text in zip(
                     c.step[rows].tolist(), c.ctx[rows].tolist(), c.has_ctx[rows].tolist(),
-                    temps, c.draft[rows].tolist(), topk,
+                    temps, c.draft[rows].tolist(), map(texts.__getitem__, topk),
                 )
             ))
 
@@ -391,23 +402,23 @@ def _line_row(line: str, where: str) -> TraceRecord:
 
 
 class _TopKRows:
-    """The top-k rows of a file being read, each distinct top-k text parsed
-    once: a map from text to row, cleared once the texts it holds reach
+    """The top-k lists of a file being read, each distinct top-k text parsed
+    once: a map from text to list id, cleared once the texts it holds reach
     `_BLOCK_FLOATS` top-k entries (a text seen again after that is parsed
-    again, as a new row). Keys are texts, never values: `-0` and `0` are two
-    rows."""
+    again, as a new list). Keys are texts, never values: `-0` and `0` are two
+    lists."""
 
     def __init__(self) -> None:
-        self._id: dict[str, int] = {}  # each text's row
+        self._id: dict[str, int] = {}  # each text's list
         self._held = 0  # top-k entries of the texts in _id
-        # (widths, tokens, logits) of the rows, a block of new rows per ids() call
+        # (widths, tokens, logits) of the lists, a block of new lists per ids() call
         self._parsed = [[np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)]]
-        self._count = 0  # rows parsed
+        self._count = 0  # lists parsed
 
     def ids(self, texts: Sequence[str]) -> np.ndarray:
-        """Each text's row, parsing the texts not seen before. Raises
+        """Each text's list, parsing the texts not seen before. Raises
         ValueError for a text that the grammar or float() rejects and
-        OverflowError for a token that does not fit; no row is added then."""
+        OverflowError for a token that does not fit; no list is added then."""
         if self._held >= _BLOCK_FLOATS:
             self._id, self._held = {}, 0
         fresh = [text for text in dict.fromkeys(texts) if text not in self._id]
@@ -435,20 +446,13 @@ class _TopKRows:
             self._held += m
         return np.fromiter(map(self._id.__getitem__, texts), np.int64, len(texts))
 
-    def gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(widths, tokens, logits) of the records whose rows are `ids`: all
-        the records that ids() was asked for, in order."""
-        widths, tokens, logits = (np.concatenate(arrays) for arrays in zip(*self._parsed))
-        record_widths = widths[ids]
-        ends = np.cumsum(record_widths)
-        # each entry's place in the rows' entries less its place in the records'
-        at = np.repeat(np.cumsum(widths)[ids] - ends, record_widths)
-        at += np.arange(at.size)
-        return record_widths, tokens[at], logits[at]
+    def lists(self) -> list[np.ndarray]:
+        """(widths, tokens, logits) of the lists parsed so far, by id."""
+        return [np.concatenate(arrays) for arrays in zip(*self._parsed)]
 
 
 def _convert(groups: list[tuple[str, ...]], rows: _TopKRows) -> list[np.ndarray]:
-    """Column arrays (each record's top-k row id in place of offsets, tokens
+    """Column arrays (each record's top-k list id in place of offsets, tokens
     and logits) of the field texts of record lines that match `_RECORD`.
     Raises ValueError for a top-k list that the grammar rejects or a float
     that does not parse and OverflowError for an integer that does not fit."""
@@ -462,7 +466,7 @@ def _convert(groups: list[tuple[str, ...]], rows: _TopKRows) -> list[np.ndarray]
         np.fromiter(map("-".__ne__, ctx), bool, n),
         np.fromiter(map(temps.__getitem__, temp), np.float64, n),
         np.fromiter(map(int, map({"-": "-1"}.get, draft, draft)), np.int64, n),
-        rows.ids(topk),  # last, so that rows are added only for lines that convert
+        rows.ids(topk),  # last, so that lists are added only for lines that convert
     ]
 
 
@@ -475,8 +479,8 @@ def _converted(matches: list, rows: _TopKRows) -> list[np.ndarray] | None:
 
 
 def _concatenated(parts: list[list[np.ndarray]], rows: _TopKRows) -> TraceColumns:
-    *fields, ids = (np.concatenate(arrays) for arrays in zip(*parts or [_convert([], rows)]))
-    return _columns(*fields, *rows.gather(ids))
+    fields = (np.concatenate(arrays) for arrays in zip(*parts or [_convert([], rows)]))
+    return _columns(*fields, *rows.lists())
 
 
 def read_trace(source: str | Path) -> TraceFile:
@@ -555,19 +559,22 @@ class TraceRecorder:
     """Engine recorder callback filling trace columns during a decode.
 
     Each distinct logit vector, keyed by its bytes, is copied and ranked once,
-    a block of at most `_BLOCK_FLOATS` logits at a time; a record keeps its
-    vector's row, and to_trace ranks a partial block."""
+    a block of at most `_BLOCK_FLOATS` logits at a time, into a top-k list;
+    a record keeps its vector's list id, and to_trace ranks a partial block."""
 
     def __init__(self, vocab_size: int, temperature: float, top_k: int = DEFAULT_TOP_K):
+        TraceHeader(vocab_size)  # refuses a vocab_size that a trace cannot hold
+        if not isinstance(top_k, (int, np.integer)):
+            raise ValueError(f"top_k {top_k!r} is not an integer")
         if top_k < 2:
             raise ValueError("top_k must be >= 2")
         self.vocab_size = vocab_size
         self.temperature = temperature
         self.top_k = min(top_k, vocab_size)
-        self._block = max(1, _BLOCK_FLOATS // max(vocab_size, 1))
-        self._rows: list[tuple[int, int | None, int | None, int]] = []  # (step, ctx, draft, row)
-        self._seen: dict[bytes, int] = {}  # the pending block: each vector's row, by its bytes
-        self._distinct = 0  # rows so far, ranked or pending
+        self._block = max(1, _BLOCK_FLOATS // vocab_size)
+        self._rows: list[tuple[int, int | None, int | None, int]] = []  # (step, ctx, draft, list)
+        self._seen: dict[bytes, int] = {}  # the pending block: each vector's list, by its bytes
+        self._distinct = 0  # lists so far, ranked or pending
         self._tokens: list[np.ndarray] = []
         self._logits: list[np.ndarray] = []
 
@@ -581,17 +588,17 @@ class TraceRecorder:
                 f"expected ({self.vocab_size},)"
             )
         bits = z.tobytes()  # a copy: the caller may reuse its vector
-        row = self._seen.get(bits)
-        if row is None:
-            row = self._seen[bits] = self._distinct
+        topk = self._seen.get(bits)
+        if topk is None:
+            topk = self._seen[bits] = self._distinct
             self._distinct += 1
-        self._rows.append((position, context_hash, chosen_draft, row))
+        self._rows.append((position, context_hash, chosen_draft, topk))
         if len(self._seen) == self._block:
             self._rank()
 
     def _rank(self) -> None:
         """Move the pending vectors' top-k into the columns. A stable sort of
-        the negated logits orders each row by descending logit, ties to the
+        the negated logits orders each list by descending logit, ties to the
         smaller token id, as the trace grammar does."""
         if self._seen:
             z = np.frombuffer(b"".join(self._seen), dtype=np.float64).reshape(len(self._seen), -1)
@@ -605,17 +612,15 @@ class TraceRecorder:
         """The records so far as a trace, checked as TraceFile(header, records) is."""
         self._rank()
         n = len(self._rows)
-        step, ctx, draft, row = zip(*self._rows) if n else ([], [], [], [])
+        step, ctx, draft, topk = zip(*self._rows) if n else ([], [], [], [])
         tokens = np.concatenate(self._tokens) if n else np.zeros(0, dtype=np.int64)
         logits = np.concatenate(self._logits) if n else np.zeros(0)
-        if self._distinct < n:  # some records share a row: gather each record's top-k
-            tokens, logits = (a.reshape(-1, self.top_k)[list(row)].ravel() for a in (tokens, logits))
         # a float is its own float64; anything else goes to the check as given
         exact = isinstance(self.temperature, float)
         temp = np.full(n, self.temperature, dtype=np.float64 if exact else object)
         columns = _handed_in(
-            step, ctx, temp, draft,
-            np.full(n, self.top_k, dtype=np.int64), tokens, logits,
+            step, ctx, temp, draft, np.array(topk, dtype=np.int64),
+            np.full(self._distinct, self.top_k, dtype=np.int64), tokens, logits,
             self.vocab_size, lambda i: f"record {i + 1}",
         )
         return _trace_from_columns(TraceHeader(self.vocab_size, producer), columns)

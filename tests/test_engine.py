@@ -458,6 +458,29 @@ def test_the_score_only_adapter_refuses_a_bad_order_or_vocabulary(field, value):
     window_reader(score_only("OddModel", np.arange(8.0), order=np.int64(1024)))  # numpy ints are ints
 
 
+@pytest.mark.parametrize("run", ["greedy_decode", "decode"])
+def test_a_string_vocabulary_is_refused_before_the_prompt_is_checked(run):
+    """The prompt is checked against the vocabulary the adapter checked."""
+    target = score_only("OddTarget", np.arange(8.0), vocab_size="8")
+    with pytest.raises(ValueError, match=r"^OddTarget\.vocab_size '8' is not an int in "):
+        if run == "greedy_decode":
+            greedy_decode(target, [1, 2], 5)
+        else:
+            decode(target, score_only("Draft", np.arange(8.0)), DecodeConfig(policy=MARGIN_09, k=3), [1, 2])
+
+
+@pytest.mark.parametrize("token", [1.5, 2.0, "1", None])
+@pytest.mark.parametrize("run", ["greedy_decode", "decode"])
+def test_a_prompt_token_that_is_not_an_integer_is_named(run, token):
+    target, draft = make_pair(vocab_size=8)
+    with pytest.raises(ValueError, match=rf"^prompt token {re.escape(repr(token))} is not an integer$"):
+        if run == "greedy_decode":
+            greedy_decode(target, [1, token], 5)
+        else:
+            decode(target, draft, DecodeConfig(policy=MARGIN_09, k=3), [1, token])
+    assert greedy_decode(target, [1, np.int64(2)], 3) == greedy_decode(target, [1, 2], 3)
+
+
 @pytest.mark.parametrize("draft_mode", ["greedy", "sample"])
 def test_a_score_only_draft_has_one_adapter_per_decode(draft_mode):
     """Every chain cycle drafts through the reader decode built, so the

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specverify import cli
 from specverify import trace as trace_module
 from specverify.engine import CostModel, DecodeConfig, decode, metrics_from_cycles
 from specverify.trace import (
@@ -269,6 +271,17 @@ class TestValidation:
             assert path.read_text().startswith("specverify-trace v1 vocab=2 producer=x\n")
             assert read_trace(path).header == TraceHeader(2, "x")
 
+    def test_a_bad_list_shared_by_records_2_and_5_names_record_2(self, tmp_path):
+        """The entry rules are checked once a list, and the first record that
+        reads a bad list is named."""
+        good, bad = "topk=3:2.5,1:1.25", "topk=1:1.25,3:2.5"
+        lines = [f"step={i} ctx=- temp=1 draft=- {bad if i in (1, 4) else good}" for i in range(6)]
+        path = tmp_path / "shared.trace"
+        path.write_text("specverify-trace v1 vocab=8 producer=\n" + "\n".join(lines) + "\n")
+        message = "record 2 (line 3): top-k ordering violated at tokens 1,3"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)} "):
+            read_trace(path)
+
     def test_tie_break_ordering_enforced(self):
         rec = make_record(top_k=((5, 2.0), (3, 2.0)))  # tie must order by id
         with pytest.raises(TraceFormatError, match="ordering"):
@@ -387,6 +400,18 @@ class TestRecorder:
         else:
             assert rec.to_trace().columns.temp.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"top_k": 2.5}, "top_k 2.5 is not an integer"),
+        ({"top_k": "3"}, "top_k '3' is not an integer"),
+        ({"vocab_size": 4.0}, "vocab 4.0 is not an integer"),
+        ({"vocab_size": 1}, "vocab must be >= 2, got 1"),
+    ])
+    def test_a_bad_top_k_or_vocabulary_is_refused_when_built(self, kwargs, message):
+        """Refused by name, vocab_size as a trace header refuses it, before a
+        vector is ranked with them."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TraceRecorder(**{"vocab_size": 4, "temperature": 1.0, **kwargs})
+
     def test_a_string_temperature_is_named(self):
         rec = TraceRecorder(vocab_size=8, temperature="1")
         rec(0, np.arange(8.0), None, 0)
@@ -450,10 +475,46 @@ class TestRecorder:
         vectors = [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [-0.0, -0.0, 1.0]]
         for i, z in enumerate(vectors):
             rec(i, np.array(z), i % 3 or None, 7 * i)
-        logits = rec.to_trace().columns.logits.reshape(4, 3)
+        columns = rec.to_trace().columns
+        logits = columns.logits.reshape(-1, 3)[columns.topk]  # each record's list
         assert [np.signbit(row).tolist() for row in logits] == [
             [False, False, True], [False, True, False], [False, False, True], [False, True, True]]
         assert recorder_outcome(rec) == lexsort_outcome(vectors, 3, 3)
+
+    def test_a_greedy_decode_holds_each_distinct_vector_once(self):
+        """A greedy decode falls into a periodic orbit of few target windows:
+        its trace holds one top-k list per distinct vector the recorder was
+        handed, and each record reads its own vector's list through its id."""
+        target, draft = make_pair()
+        recorder, handed = TraceRecorder(64, temperature=1.0), []
+
+        def spy(position, logits, chosen_draft, context_hash):
+            handed.append(np.array(logits))
+            recorder(position, logits, chosen_draft, context_hash)
+
+        decode(target, draft, DecodeConfig(policy=MARGIN_09, k=7, max_tokens=400), [5, 6], recorder=spy)
+        columns = recorder.to_trace().columns
+        assert columns.offsets.size - 1 == len({z.tobytes() for z in handed}) < len(columns) // 4
+        assert columns.tokens.size == trace_module.DEFAULT_TOP_K * (columns.offsets.size - 1)
+        assert columns.top_two()[0].tolist() == [int(z.argmax()) for z in handed]
+
+    def test_the_fixture_record_holds_its_80_lists(self, tmp_path):
+        """The 10,520 records of the decoupling fixture read 80 distinct
+        vectors: the recorder hands over 80 lists of 10 entries, and reading
+        the written file finds the same 80 texts."""
+        spec = Path(__file__).resolve().parent.parent / "scripts" / "decoupling_spec.json"
+        with mock.patch.object(cli, "write_trace", side_effect=cli.write_trace) as written:
+            assert cli.main(["record", "--spec", str(spec), "--out", str(tmp_path / "f.trace")]) == 0
+        for columns in (written.call_args.args[0].columns, read_trace(tmp_path / "f.trace").columns):
+            assert (len(columns), columns.offsets.size - 1, columns.tokens.size) == (10_520, 80, 800)
+
+    def test_a_bad_vector_handed_at_records_2_and_5_names_record_2(self):
+        rec = TraceRecorder(vocab_size=3, temperature=0.5, top_k=3)
+        for i, z in enumerate([[1.0, 2.0, 0.5], [np.nan, 1.0, 0.0], [3.0, 0.0, -1.0],
+                               [1.0, 2.0, 0.5], [np.nan, 1.0, 0.0]]):
+            rec(i, np.array(z), None, i)
+        with pytest.raises(TraceFormatError, match=r"^record 2: non-finite logit for token 0$"):
+            rec.to_trace()
 
     def test_repeat_after_the_block_is_ranked(self):
         """Repeats that arrive after their vector's block was ranked, and the
@@ -483,8 +544,14 @@ RECORDER_LOGITS = [0.0, -0.0, 1.5, 1.5, -2.0, 1e300, 5e-324, np.inf, -np.inf, np
 
 
 def column_bits(columns):
-    names = ("step", "ctx", "has_ctx", "temp", "draft", "offsets", "tokens", "logits")
-    return [getattr(columns, name).tobytes() for name in names]
+    """Each record column's bits, and each record's own top-k tokens and
+    logits, bit for bit: a list that records share is expanded per record."""
+    names = ("step", "ctx", "has_ctx", "temp", "draft")
+    ends = columns.offsets.tolist()
+    lists = [(columns.tokens[a:b].tobytes(), columns.logits[a:b].tobytes())
+             for a, b in zip(ends, ends[1:])]
+    return [getattr(columns, name).tobytes() for name in names] + [
+        lists[j] for j in columns.topk.tolist()]
 
 
 def recorder_outcome(rec):

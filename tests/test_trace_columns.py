@@ -33,6 +33,7 @@ import trace_oracle
 from specverify import analysis
 from specverify import trace as trace_module
 from specverify.analysis import AnalysisReport, Histogram, Scatter, analyze_trace, write_report
+from specverify.logits import softmax
 from specverify.trace import (
     TraceFile,
     TraceFormatError,
@@ -342,6 +343,31 @@ def test_repeated_rows_read_as_the_oracle_does(tmp_path_factory, lines, chunk, e
     assert outcome(read_columnar, path) == new  # at the real bounds
 
 
+@given(lines=repeated_traces(), read=st.tuples(st.integers(1, 8), st.integers(1, 24)),
+       write=st.tuples(st.integers(1, 8), st.integers(1, 24)))
+@settings(max_examples=300, deadline=None)
+def test_lists_parsed_and_formatted_again_round_trip_as_the_oracle_does(tmp_path_factory, lines,
+                                                                         read, write):
+    """A text seen again after read_trace clears its map of texts is parsed
+    as a second list of the same bits, and a list seen again after
+    write_trace clears its texts is formatted again: the bytes written are
+    the oracle's, and read back as the records read."""
+    path = write_lines(tmp_path_factory, lines)
+    with small_bounds(*read):
+        trace = read_trace(path)
+    texts = [line.split("topk=")[1] for line in lines[1:]]
+    lists = trace.columns.offsets.size - 1
+    assert len(set(texts)) <= lists <= len(texts)
+    if read == (1, 1):  # the texts are cleared before every line: a list per record
+        assert lists == len(texts)
+    event(f"a text parsed again: {lists > len(set(texts))}")
+    with small_bounds(*write):
+        write_trace(trace, path.with_name("new.trace"))
+    trace_oracle.write_trace(trace, path.with_name("old.trace"))
+    assert path.with_name("new.trace").read_bytes() == path.with_name("old.trace").read_bytes()
+    assert outcome(read_columnar, path.with_name("new.trace")) == outcome(read_columnar, path)
+
+
 @given(case=mutated(repeated_traces()), chunk=st.integers(1, 8), entries=st.integers(1, 24))
 @settings(max_examples=500, deadline=None)
 def test_mutated_repeats_fail_as_the_oracle_does(tmp_path_factory, case, chunk, entries):
@@ -464,6 +490,33 @@ def test_scatter_csv_is_the_per_record_csv_writer_output(tmp_path_factory, lines
     old = path.with_name("old.csv")
     trace_oracle.write_scatter(points, old)
     assert new.read_bytes() == old.read_bytes()
+
+
+def test_records_sharing_a_list_at_other_temperatures_get_the_per_record_softmax(tmp_path):
+    """Six records read two top-k lists, each at three temperatures: p1 and
+    p2 are the softmax of a record's list at its own temperature."""
+    lines = scatter_lines([[10.0, 9.0, 7.5], [1.0, 0.0]],
+                          [(0, 1.0), (1, 0.4), (0, 0.4), (0, 2.5), (1, 5e-324), (1, 1.0)])
+    path = tmp_path / "shared.trace"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    trace = read_trace(path)
+    assert (len(trace.columns), trace.columns.offsets.size - 1) == (6, 2)
+    scatter = analyze_trace(trace, 0.9).scatter
+    for i, record in enumerate(trace.records):
+        probs = softmax(np.array([z for _, z in record.top_k]), record.temperature)
+        assert (scatter.p1[i].tobytes(), scatter.p2[i].tobytes()) == (probs[0].tobytes(), probs[1].tobytes())
+
+
+@given(lines=scatter_traces(), theta=st.sampled_from([0.5, 0.9, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_shared_lists_analyze_as_the_per_record_analysis(tmp_path_factory, lines, theta):
+    """Rows repeated at other steps and temperatures share a list, and every
+    report field is the per-record analysis's, bit for bit."""
+    path = write_lines(tmp_path_factory, lines)
+    trace = read_trace(path)
+    event(f"records share a list: {trace.columns.offsets.size - 1 < len(trace.columns)}")
+    old, _ = trace_oracle.analyze_records(trace_oracle.read_trace(path)[1], theta)
+    assert report_bits(analyze_trace(trace, theta)) == report_bits(old)
 
 
 def test_records_handed_in_are_validated_with_the_oracles_message():
