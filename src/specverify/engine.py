@@ -47,7 +47,7 @@ import numpy as np
 
 from . import verify
 from .models import (
-    MAX_TREE_LEAVES, ScoringModel, check_tree_size, draft_walk, pack_tokens, window_reader,
+    MAX_TREE_LEAVES, ScoringModel, check_tree_size, check_types, draft_walk, pack_tokens, window_reader,
 )
 from .models import draft_chain  # noqa: F401  (perfbench traces engine.draft_chain)
 from .verify import CycleResult, Decision, VerificationPolicy, decide_position
@@ -84,6 +84,7 @@ class CostModel:
     c_draft: float = DEFAULT_COST_RATIO
 
     def __post_init__(self) -> None:
+        check_types(self)
         if not 0 < self.c_target < np.inf:
             raise ValueError(f"c_target {self.c_target} must be finite and > 0")
         if not 0 <= self.c_draft < np.inf:
@@ -103,6 +104,7 @@ class DecodeConfig:
     tree_top_k: int = 2
 
     def __post_init__(self) -> None:
+        check_types(self)
         if not 1 <= self.k < 2**63:
             raise ValueError(f"field 'k': {self.k} not in [1, 2^63)")
         if self.mode == "chain" and self.k > MAX_TREE_LEAVES:

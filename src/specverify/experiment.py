@@ -4,10 +4,10 @@ A spec is a declarative JSON document (grammar in the README) holding model
 configs, the theta/K/temperature grid, the cost model, and repetitions. The
 fields of `ExperimentSpec` are the schema: their names are the spec keys
 (nested under `target` and `draft` for the model configs) and the CLI flags,
-and their types convert the values. Rows are emitted in lexicographic grid
-order (theta, then k, then temperature, then repetition) and every row's seed
-is derived from the root seed and the grid point alone, so execution order
-cannot change results.
+and the constructors check values by their types (models.check_types). Rows
+are emitted in lexicographic grid order (theta, then k, then temperature, then
+repetition) and every row's seed is derived from the root seed and the grid
+point alone, so execution order cannot change results.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import struct
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import product
 from pathlib import Path
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .models import (
     SyntheticTargetModel,
     check_noise_range,
     check_seed,
+    check_types,
 )
 from .verify import DEFAULT_THETA, VerificationPolicy
 
@@ -75,6 +76,7 @@ class ExperimentSpec:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        check_types(self)
         for name in GRID_AXES:
             grid = getattr(self, name)
             if len(grid) == 0:
@@ -113,35 +115,15 @@ class ExperimentSpec:
         )
 
 
-def _convert(hint, value, current, name: str):
-    """`value` as a value of type `hint`, or a ValueError naming the field."""
-    if is_dataclass(hint):
-        return _replace_from_dict(current, value, name + ".")
-    args = get_args(hint)
-    if get_origin(hint) is tuple:  # a grid axis: one value or a list
-        items = value if isinstance(value, (list, tuple)) else [value]
-        return tuple(_convert(args[0], item, None, name) for item in items)
-    if type(None) in args:
-        return None if value is None else _convert(args[0], value, current, name)
-    if hint is float and type(value) in (int, float):
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            raise ValueError(f"field '{name}': {value} is not finite") from None
-    if type(value) is hint:
-        return value
-    raise ValueError(f"field '{name}': expected {hint.__name__}, got {value!r}")
-
-
 def _replace_from_dict(base, doc, prefix: str):
     if not isinstance(doc, dict):
         raise ValueError(f"field '{prefix[:-1]}': expected an object, got {doc!r}")
-    hints = get_type_hints(type(base))
-    changes = {}
+    current, changes = vars(base), {}
     for key, value in doc.items():
-        if key not in hints:
+        if key not in current:
             raise ValueError(f"field '{prefix}{key}': not a recognized spec field")
-        changes[key] = _convert(hints[key], value, getattr(base, key), prefix + key)
+        nested = is_dataclass(current[key])  # a model config, given as an object
+        changes[key] = _replace_from_dict(current[key], value, f"{prefix}{key}.") if nested else value
     try:
         return replace(base, **changes)
     except ValueError as exc:  # a nested config names its own field: add the prefix
@@ -150,7 +132,7 @@ def _replace_from_dict(base, doc, prefix: str):
 
 def spec_from_dict(doc: dict, base: ExperimentSpec | None = None) -> ExperimentSpec:
     """`base` (default `ExperimentSpec()`) with the fields named in `doc`, nested
-    for `target` and `draft`, replaced; each value is converted by its field's type."""
+    for `target` and `draft`, replaced; the constructors check each value."""
     return _replace_from_dict(base or ExperimentSpec(), doc, "")
 
 
@@ -190,12 +172,14 @@ def _check_unique_keys(doc: dict) -> None:
 def spec_from_file(path: str | Path) -> ExperimentSpec:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_json_object)
+        if not isinstance(doc, dict):
+            raise ValueError(f"spec file {path}: top level must be a JSON object")
+        _check_unique_keys(doc)
+        return spec_from_dict(doc)
     except json.JSONDecodeError as exc:
         raise ValueError(f"spec file {path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"spec file {path}: top level must be a JSON object")
-    _check_unique_keys(doc)
-    return spec_from_dict(doc)
+    except RecursionError:  # json's parser, and a message's repr, recurse once a level
+        raise ValueError(f"spec file {path}: nested too deeply") from None
 
 
 def row_seed(root_seed: int, theta: float, k: int, temperature: float, rep: int) -> int:
@@ -271,8 +255,7 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     w.writeheader()
-    for row in rows:
-        w.writerow({key: ("" if row.get(key) is None else row.get(key, "")) for key in CSV_COLUMNS})
+    w.writerows(rows)  # csv writes None as an empty field
     return buf.getvalue()
 
 

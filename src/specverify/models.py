@@ -24,13 +24,14 @@ in-place edit raises instead.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import numbers
 import operator
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -81,6 +82,35 @@ def check_seed(name: str, seed: int) -> None:
         raise ValueError(f"field '{name}': {seed} is outside the signed 64-bit range")
 
 
+def check_types(config) -> None:
+    """Check every field of a frozen config against its annotation, in field
+    order, and store it as that type: an int field takes an integral number
+    and a float field a real one (a bool is neither), `X | None` None or an X,
+    a grid axis `tuple[X, ...]` one X or a list or tuple of them, and any
+    other field an instance of its class."""
+    for name, hint in _field_types(type(config)).items():
+        object.__setattr__(config, name, _typed(hint, getattr(config, name), name))
+
+
+_field_types = functools.cache(get_type_hints)  # of a config class, resolved once
+
+
+def _typed(hint, value, name: str):
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        items = value if isinstance(value, (list, tuple)) else [value]
+        return tuple(_typed(args[0], item, name) for item in items)
+    if type(None) in args:
+        return None if value is None else _typed(args[0], value, name)
+    kind = {int: numbers.Integral, float: numbers.Real}.get(hint, hint)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"field '{name}': expected {hint.__name__}, got {value!r}")
+    try:
+        return hint(value) if hint in (int, float) else value
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"field '{name}': {value} is not finite") from None
+
+
 @dataclass(frozen=True)
 class SyntheticTargetConfig:
     seed: int
@@ -90,6 +120,7 @@ class SyntheticTargetConfig:
     logit_spread: float = DEFAULT_LOGIT_SPREAD
 
     def __post_init__(self) -> None:
+        check_types(self)
         check_seed("seed", self.seed)
         if self.vocab_size < 2:
             raise ValueError("field 'vocab_size': must be >= 2")
@@ -107,7 +138,7 @@ class SyntheticTargetConfig:
             raise ValueError(f"field 'logit_spread': {self.logit_spread} must be finite and > 0")
         # checked once here, so that deriving a window never overflows; float
         # arithmetic gives the bits numpy's does, and inf rather than a warning
-        if not np.isfinite(float(self.logit_spread) * _GUMBEL_RANGE[1]):
+        if not np.isfinite(self.logit_spread * _GUMBEL_RANGE[1]):
             raise ValueError(f"field 'logit_spread': {self.logit_spread} overflows the logits")
         if not np.isfinite(self.logit_range).all():
             raise ValueError(
@@ -118,9 +149,7 @@ class SyntheticTargetConfig:
     @property
     def logit_range(self) -> tuple[float, float]:
         """The least and the greatest logit the target can draw."""
-        offset, spread = float(self.logit_offset), float(self.logit_spread)
-        low, high = (offset + spread * g for g in _GUMBEL_RANGE)
-        return low, high
+        return tuple(self.logit_offset + self.logit_spread * g for g in _GUMBEL_RANGE)
 
 
 @dataclass(frozen=True)
@@ -129,6 +158,7 @@ class PerturbedDraftConfig:
     noise_scale: float = DEFAULT_NOISE_SCALE
 
     def __post_init__(self) -> None:
+        check_types(self)
         check_seed("noise_seed", self.noise_seed)
         if not 0 <= self.noise_scale < np.inf:
             raise ValueError(f"field 'noise_scale': {self.noise_scale} must be finite and >= 0")
@@ -138,7 +168,7 @@ def check_noise_range(target: SyntheticTargetConfig, draft: PerturbedDraftConfig
     """Refuse a noise_scale whose draft logits, a target logit plus
     noise_scale times a standard normal draw, could overflow."""
     largest = max(map(abs, target.logit_range))
-    if not np.isfinite(largest + float(draft.noise_scale) * _NORMAL_BOUND):
+    if not np.isfinite(largest + draft.noise_scale * _NORMAL_BOUND):
         raise ValueError(
             f"field 'draft.noise_scale': {draft.noise_scale} overflows the draft logits "
             f"at target logits up to {largest:g}"
@@ -183,6 +213,8 @@ def window_rng(seed: int, window: Sequence[int], salt: int) -> np.random.Generat
 
 def _check_context(context: Sequence[int], vocab_size: int) -> None:
     for tok in context:
+        if not isinstance(tok, (int, np.integer)):  # as engine.check_prompt refuses it
+            raise ValueError(f"context token {tok!r} is not an integer")
         if not 0 <= tok < vocab_size:
             raise ValueError(f"context token {tok} out of vocabulary range [0, {vocab_size})")
 
@@ -220,7 +252,7 @@ class _WindowIds:
         """The id of the last `order` tokens, which must be in the vocabulary."""
         w = 0
         for tok in tokens[-self.order :]:
-            w = w * self._base + operator.index(tok) + 1  # a float token raises
+            w = w * self._base + operator.index(tok) + 1  # a Python int, from a numpy one too
         return w
 
     def window_id(self, context: Sequence[int]) -> int:

@@ -17,7 +17,8 @@ producer finds the lists once, where the trace is made: `TraceRecorder` ranks
 each distinct logit vector once, keyed by its bytes; `read_trace` parses and
 grammar-checks each distinct top-k text once, keyed by the text, and drops
 the texts it holds once they reach `_BLOCK_FLOATS` top-k entries;
-`TraceFile(header, records)` makes a list per record. `write_trace` formats
+`TraceFile(header, records)` makes a list per distinct `top_k` object, keyed
+by identity (the row view shares one object per list). `write_trace` formats
 each list once within the same bound. One check, a mask per rule over all
 records with the entry rules checked once a list, serves all three
 producers. `TraceRecord` is the row view, built only when `TraceFile.records`
@@ -282,16 +283,21 @@ def _pairs(top_k) -> bool:
 
 
 def _record_columns(records: Sequence[TraceRecord], vocab_size: int, where) -> TraceColumns:
-    for i, r in enumerate(records):
-        if not _pairs(r.top_k):
+    """Records that hold the same top_k object share its list; keyed by identity,
+    never by value (-0.0 == 0.0), with each object held so that no id is reused."""
+    lists: dict[int, tuple[int, Sequence]] = {}  # id(top_k) -> (list id, top_k)
+    topk = [lists.setdefault(id(r.top_k), (len(lists), r.top_k))[0] for r in records]
+    tops = [top_k for _, top_k in lists.values()]
+    for j, top_k in enumerate(tops):
+        if not _pairs(top_k):
             raise TraceFormatError(
-                f"{where(i)}: top-k {r.top_k!r} is not a list of (token, logit) pairs")
+                f"{where(topk.index(j))}: top-k {top_k!r} is not a list of (token, logit) pairs")
     return _handed_in(
         [r.step for r in records], [r.context_hash for r in records],
         np.array([r.temperature for r in records], dtype=object), [r.chosen_draft for r in records],
-        np.arange(len(records)), np.array([len(r.top_k) for r in records], dtype=np.int64),
-        np.array([tok for r in records for tok, _ in r.top_k], dtype=object),
-        np.array([z for r in records for _, z in r.top_k], dtype=object), vocab_size, where,
+        np.array(topk, dtype=np.int64), np.array([len(t) for t in tops], dtype=np.int64),
+        np.array([tok for t in tops for tok, _ in t], dtype=object),
+        np.array([z for t in tops for _, z in t], dtype=object), vocab_size, where,
     )
 
 

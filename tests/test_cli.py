@@ -314,6 +314,19 @@ class TestExitCodes:
         assert main(["run", "--theta", "1.5"]) == 2
         assert "theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth", [5000, *range(960, 1000, 3)])
+    @pytest.mark.parametrize("shape", ["array", "object"])
+    def test_a_deeply_nested_spec_is_2_and_names_its_file(self, shape, depth, tmp_path, capsys):
+        """Nested too deeply for the parser, or for the message that quotes the value."""
+        spec = tmp_path / "deep.json"
+        value = "[" * depth + "0.9" + "]" * depth if shape == "array" else '{"a": ' * depth + "1" + "}" * depth
+        spec.write_text(f'{{"{"theta" if shape == "array" else "target"}": {value}}}')
+        assert main(["run", "--spec", str(spec), "--max-tokens", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if depth == 5000:
+            assert f"spec file {spec}: nested too deeply" in err
+
     def test_missing_trace_is_3(self, tmp_path, capsys):
         assert main(["replay", str(tmp_path / "missing.trace")]) == 3
         capsys.readouterr()

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from itertools import cycle, product
 
 import numpy as np
@@ -480,8 +481,22 @@ class TestWindowIds:
     def test_a_float_token_in_the_window_raises(self, target):
         target.score([1, 2])
         for ctx in ([1.5, 2], [1.0, 2]):  # a miss and, as an integer, a hit
-            with pytest.raises(TypeError, match="integer"):
+            with pytest.raises(ValueError, match=rf"context token {ctx[0]} is not an integer"):
                 target.score(ctx)
+
+    @pytest.mark.parametrize("read", [
+        lambda model, ctx: model.score(ctx),
+        lambda model, ctx: model.top_two(ctx),
+        lambda model, ctx: model.sample_cdf(ctx, 1.0),
+        lambda model, ctx: next(draft_walk(model, ctx, 3)),
+    ], ids=["score", "top_two", "sample_cdf", "draft_walk"])
+    @pytest.mark.parametrize("token", [1.5, "1", None, np.float64(2.0)])
+    def test_a_context_token_that_is_not_an_integer_is_named(self, read, token):
+        target, draft = make_pair(vocab_size=8)
+        for model in (target, draft):
+            for ctx in ([token, 2], [1, 2, token, 3, 4]):  # in the window and before it
+                with pytest.raises(ValueError, match=rf"^context token {re.escape(repr(token))} is not an integer$"):
+                    read(model, ctx)
 
     @pytest.mark.parametrize("target_cfg, draft_cfg", MEMO_CONFIGS)
     def test_evicting_memo_reads_what_an_uncapped_pair_reads(

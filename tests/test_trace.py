@@ -508,6 +508,33 @@ class TestRecorder:
         for columns in (written.call_args.args[0].columns, read_trace(tmp_path / "f.trace").columns):
             assert (len(columns), columns.offsets.size - 1, columns.tokens.size) == (10_520, 80, 800)
 
+    def test_a_trace_rebuilt_from_its_rows_keeps_its_80_lists(self, tmp_path):
+        """The row view shares one top_k object per list, so TraceFile(header,
+        records) of the fixture's read trace holds its 80 lists, and writes
+        the same bytes."""
+        spec = Path(__file__).resolve().parent.parent / "scripts" / "decoupling_spec.json"
+        assert cli.main(["record", "--spec", str(spec), "--out", str(tmp_path / "f.trace")]) == 0
+        read = read_trace(tmp_path / "f.trace")
+        rebuilt = TraceFile(read.header, read.records)
+        assert (len(rebuilt.columns), rebuilt.columns.offsets.size - 1) == (10_520, 80)
+        write_trace(rebuilt, tmp_path / "g.trace")
+        assert (tmp_path / "g.trace").read_bytes() == (tmp_path / "f.trace").read_bytes()
+
+    def test_equal_top_k_objects_are_lists_of_their_own(self, tmp_path):
+        """Lists are keyed by object, never by value: -0.0 == 0.0, yet each
+        record writes its own bits; a bad shared list names its first record."""
+        shared = ((1, 0.0), (2, -1.0))
+        records = [make_record(0, shared), make_record(1, ((1, -0.0), (2, -1.0))), make_record(2, shared)]
+        trace = TraceFile(TraceHeader(4), records)
+        assert trace.columns.topk.tolist() == [0, 1, 0]
+        write_trace(trace, tmp_path / "t.trace")
+        assert [line.split(" topk=")[1] for line in (tmp_path / "t.trace").read_text().splitlines()[1:]] == [
+            "1:0,2:-1", "1:-0,2:-1", "1:0,2:-1"]
+        bad = [make_record(0), make_record(1, [(1, 2.0, 3)]), make_record(2)]
+        bad[2] = dataclasses.replace(bad[2], top_k=bad[1].top_k)
+        with pytest.raises(TraceFormatError, match=r"^record 2: top-k .* is not a list of \(token, logit\) pairs$"):
+            TraceFile(TraceHeader(4), bad)
+
     def test_a_bad_vector_handed_at_records_2_and_5_names_record_2(self):
         rec = TraceRecorder(vocab_size=3, temperature=0.5, top_k=3)
         for i, z in enumerate([[1.0, 2.0, 0.5], [np.nan, 1.0, 0.0], [3.0, 0.0, -1.0],
