@@ -30,10 +30,12 @@ tau exact (e.g. the K+1 ceiling with a perfectly aligned drafter).
 A cycle that draws no random numbers (greedy chain drafting, and tree mode) is
 a function of its context tail alone, and a greedy decode falls into a
 periodic orbit of few tails. So decode decides each distinct deterministic
-cycle once: it keeps the cycle's result, and with a recorder the target
-window id, chosen draft and packed draft of each of its K+1 records, keyed
-by the tail, and replays them when the tail comes back. The memo is one
-decode's, and holds at most CYCLE_MEMO_TOKENS window tokens.
+cycle once: it keeps the cycle's result, and with a recorder the top-k list
+id (from recorder.lists), chosen draft and packed draft of each of its K+1
+records, keyed by the tail, and replays them when the tail comes back. The
+memo is one decode's, and holds at most CYCLE_MEMO_TOKENS window tokens. A
+recorder gets one call per cycle, with the context hash digests of its
+records from the running hasher.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -55,24 +57,22 @@ from .verify import verify_chain  # noqa: F401  (perfbench traces engine.verify_
 
 DEFAULT_COST_RATIO = 0.05
 # Window tokens the cycle memo of one decode holds before it is cleared: an
-# entry counts its tail and its K+1 window ids as `window` tokens each. At the
+# entry counts its tail and its K+1 records as `window` tokens each. At the
 # default order 2 and K 7 that is 3640 cycles; an entry that alone exceeds it
 # turns the memo off.
 CYCLE_MEMO_TOKENS = 2**16
 
-# recorder(position, logits, chosen_draft, context_hash) — see trace.TraceRecorder
-Recorder = Callable[[int, np.ndarray, int | None, int], None]
+# decode's recorder: recorder.lists(vectors) ranks a decided cycle's K+1 target
+# vectors into top-k list ids, and recorder(position, lists, drafts, digests)
+# records a cycle (trace.TraceRecorder)
+if TYPE_CHECKING:
+    from .trace import TraceRecorder as Recorder
 
 
 def context_hasher(tokens: Sequence[int]) -> hashlib.blake2b:
     """Running context hash: blake2b (digest size 8) over the packed tokens.
     update() with more packed tokens extends it; copy() forks it."""
     return hashlib.blake2b(pack_tokens(tokens), digest_size=8)
-
-
-def hash_value(hasher: hashlib.blake2b) -> int:
-    """A context hasher's digest read as a little-endian uint64."""
-    return int.from_bytes(hasher.digest(), "little")
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ class CostModel:
     def __post_init__(self) -> None:
         check_types(self)
         if not 0 < self.c_target < np.inf:
-            raise ValueError(f"c_target {self.c_target} must be finite and > 0")
+            raise ValueError(f"field 'c_target': {self.c_target} must be finite and > 0")
         if not 0 <= self.c_draft < np.inf:
-            raise ValueError(f"c_draft {self.c_draft} must be finite and >= 0")
+            raise ValueError(f"field 'c_draft': {self.c_draft} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -282,8 +282,8 @@ def decode(
             d = draft_reader.step(d, tok)
 
     def decide(tail: list[int]) -> tuple[CycleResult, list]:
-        """A cycle's result, and with a recorder its K+1 records'
-        (target window id, chosen draft, packed draft)."""
+        """A cycle's result, and with a recorder its K+1 records' top-k list
+        ids, chosen drafts and packed drafts."""
         # the target's window ids at the positions reached: the tail, then each draft
         ids = [reader.fold(tail)]
 
@@ -305,8 +305,7 @@ def decode(
         if recorder is not None:
             for tok in drafts[len(ids) - 1 :]:  # the positions past a rejection
                 ids.append(step(ids[-1], tok))
-            rows = [(w, tok, pack_tokens((tok,))) for w, tok in zip(ids, drafts)]
-            rows.append((ids[k], None, b""))
+            rows = recorder.lists(map(logits_at, ids)), [*drafts, None], [pack_tokens((t,)) for t in drafts]
         return result, rows
 
     while not done and len(ctx) - len(prompt) < config.max_tokens:
@@ -322,10 +321,13 @@ def decode(
                 memo[key] = cycle
         result, rows = cycle
         if recorder is not None:
+            lists, chosen, packed = rows
             prefix = hasher.copy()
-            for i, (w, chosen, packed) in enumerate(rows, position):
-                recorder(i, logits_at(w), chosen, hash_value(prefix))
-                prefix.update(packed)
+            digests = [prefix.digest()]
+            for tok in packed:
+                prefix.update(tok)
+                digests.append(prefix.digest())
+            recorder(position, lists, chosen, b"".join(digests))
             position += k + 1
 
         results.append(result)

@@ -89,7 +89,10 @@ def check_types(config) -> None:
     a grid axis `tuple[X, ...]` one X or a list or tuple of them, and any
     other field an instance of its class."""
     for name, hint in _field_types(type(config)).items():
-        object.__setattr__(config, name, _typed(hint, getattr(config, name), name))
+        try:
+            object.__setattr__(config, name, _typed(hint, getattr(config, name), name))
+        except RecursionError:  # the repr that a message quotes recurses once a level
+            raise ValueError(f"field '{name}': nested too deeply") from None
 
 
 _field_types = functools.cache(get_type_hints)  # of a config class, resolved once

@@ -14,7 +14,8 @@ descending by logit with ties broken by ascending token id, length >= 2.
 A trace is held as numpy columns (`TraceColumns`): each record's fields and
 the id of its top-k list, and the lists, which records may share. Each
 producer finds the lists once, where the trace is made: `TraceRecorder` ranks
-each distinct logit vector once, keyed by its bytes; `read_trace` parses and
+each distinct logit vector once, keyed by its bytes, and records a cycle at a
+time by the list ids it returned, into typed columns; `read_trace` parses and
 grammar-checks each distinct top-k text once, keyed by the text, and drops
 the texts it holds once they reach `_BLOCK_FLOATS` top-k entries;
 `TraceFile(header, records)` makes a list per distinct `top_k` object, keyed
@@ -38,11 +39,11 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .engine import CostModel, DecodeMetrics, context_hasher, hash_value, metrics_from_counts
+from .engine import CostModel, DecodeMetrics, context_hasher, metrics_from_counts
 from .logits import logit_ratios
 from .verify import Decision, VerificationPolicy
 from .verify import verify_top_two_chain  # noqa: F401  (perfbench traces trace.verify_top_two_chain)
@@ -254,26 +255,6 @@ def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> Non
         raise TraceFormatError(f"{where(i)}: {next(text(i) for mask, text in rules if mask[i])}")
 
 
-def _handed_in(step, ctx, temp, draft, topk, widths, tokens, logits, vocab_size: int,
-               where) -> TraceColumns:
-    """Checked columns of lists a caller handed in, ctx and draft None where
-    absent, and topk each record's list. Step, ctx and draft (and
-    temperatures, tokens and logits, if the caller passes them so) are checked
-    as object arrays before they have to fit 64 bits, so that a message shows
-    the value given."""
-    has_ctx = np.array([x is not None for x in ctx], dtype=bool)
-    ctx = [0 if x is None else x for x in ctx]
-    step, ctx, draft = (np.array(x, dtype=object) for x in (step, ctx, draft))
-    raw = _columns(step, ctx, has_ctx, temp, draft, topk, widths, tokens, logits)
-    _check(raw, vocab_size, where)
-    draft[draft == None] = -1  # elementwise, unlike `is None`
-    return TraceColumns(
-        step.astype(np.int64), ctx.astype(np.uint64), has_ctx, temp.astype(np.float64, copy=False),
-        draft.astype(np.int64), topk, raw.offsets, tokens.astype(np.int64, copy=False),
-        logits.astype(np.float64, copy=False),
-    )
-
-
 def _pairs(top_k) -> bool:
     """top_k is a sized collection of (token, logit) pairs, which the columns need."""
     try:
@@ -283,8 +264,10 @@ def _pairs(top_k) -> bool:
 
 
 def _record_columns(records: Sequence[TraceRecord], vocab_size: int, where) -> TraceColumns:
-    """Records that hold the same top_k object share its list; keyed by identity,
-    never by value (-0.0 == 0.0), with each object held so that no id is reused."""
+    """Columns of records a caller handed in, checked as object arrays before
+    they have to fit 64 bits, so that a message shows the value given. Records
+    that hold the same top_k object share its list; keyed by identity, never by
+    value (-0.0 == 0.0), with each object held so that no id is reused."""
     lists: dict[int, tuple[int, Sequence]] = {}  # id(top_k) -> (list id, top_k)
     topk = [lists.setdefault(id(r.top_k), (len(lists), r.top_k))[0] for r in records]
     tops = [top_k for _, top_k in lists.values()]
@@ -292,13 +275,18 @@ def _record_columns(records: Sequence[TraceRecord], vocab_size: int, where) -> T
         if not _pairs(top_k):
             raise TraceFormatError(
                 f"{where(topk.index(j))}: top-k {top_k!r} is not a list of (token, logit) pairs")
-    return _handed_in(
-        [r.step for r in records], [r.context_hash for r in records],
-        np.array([r.temperature for r in records], dtype=object), [r.chosen_draft for r in records],
-        np.array(topk, dtype=np.int64), np.array([len(t) for t in tops], dtype=np.int64),
-        np.array([tok for t in tops for tok, _ in t], dtype=object),
-        np.array([z for t in tops for _, z in t], dtype=object), vocab_size, where,
-    )
+    has_ctx = np.array([r.context_hash is not None for r in records], dtype=bool)
+    step, ctx, temp, draft, tokens, logits = (np.array(x, dtype=object) for x in (
+        [r.step for r in records], [0 if r.context_hash is None else r.context_hash for r in records],
+        [r.temperature for r in records], [r.chosen_draft for r in records],
+        [tok for t in tops for tok, _ in t], [z for t in tops for _, z in t]))
+    raw = _columns(step, ctx, has_ctx, temp, draft, np.array(topk, dtype=np.int64),
+                   np.array([len(t) for t in tops], dtype=np.int64), tokens, logits)
+    _check(raw, vocab_size, where)
+    draft[draft == None] = -1  # elementwise, unlike `is None`
+    return replace(raw, step=step.astype(np.int64), ctx=ctx.astype(np.uint64), temp=temp.astype(np.float64),
+                   draft=draft.astype(np.int64), tokens=tokens.astype(np.int64),
+                   logits=logits.astype(np.float64))
 
 
 class TraceFile:
@@ -318,10 +306,12 @@ class TraceFile:
         return self.columns.rows()
 
 
-def _trace_from_columns(header: TraceHeader, columns: TraceColumns) -> TraceFile:
-    """A trace around columns already validated by read_trace or the recorder."""
+def _trace_from_columns(header, c: TraceColumns, where=lambda i: f"record {i + 1}") -> TraceFile:
+    """A trace around columns that read_trace or the recorder made, once they
+    pass _check; a temperature the check took as a Python number is a float64."""
+    _check(c, header.vocab_size, where)
     trace = TraceFile.__new__(TraceFile)
-    trace.header, trace.columns = header, columns
+    trace.header, trace.columns = header, replace(c, temp=c.temp.astype(np.float64, copy=False))
     return trace
 
 
@@ -549,24 +539,20 @@ def read_trace(source: str | Path) -> TraceFile:
                 _record_columns([_line_row(body[i], where(i))], vocab_size, lambda _: where(i))
                 raise TraceFormatError(f"{where(i)}: does not match the record grammar")
             parts.append(line)
-    columns = _concatenated(parts, rows)
-    _check(columns, vocab_size, where)
-    header = TraceHeader(vocab_size=vocab_size, producer=producer)
-    return _trace_from_columns(header, columns)
+    return _trace_from_columns(TraceHeader(vocab_size, producer), _concatenated(parts, rows), where)
 
 
 def hash_context(context: Sequence[int]) -> int:
     """Stable 64-bit hash of a token sequence: the one-shot form of the running
     hash `decode` keeps (engine.context_hasher), i.e. the `ctx=` trace field."""
-    return hash_value(context_hasher(context))
+    return int.from_bytes(context_hasher(context).digest(), "little")
 
 
 class TraceRecorder:
-    """Engine recorder callback filling trace columns during a decode.
-
-    Each distinct logit vector, keyed by its bytes, is copied and ranked once,
-    a block of at most `_BLOCK_FLOATS` logits at a time, into a top-k list;
-    a record keeps its vector's list id, and to_trace ranks a partial block."""
+    """Engine recorder filling typed trace columns a cycle at a time. lists()
+    copies and ranks each distinct logit vector once, keyed by its bytes, a
+    block of at most `_BLOCK_FLOATS` logits at a time, into a top-k list whose
+    id stays valid after its block is ranked; to_trace ranks a partial block."""
 
     def __init__(self, vocab_size: int, temperature: float, top_k: int = DEFAULT_TOP_K):
         TraceHeader(vocab_size)  # refuses a vocab_size that a trace cannot hold
@@ -578,29 +564,54 @@ class TraceRecorder:
         self.temperature = temperature
         self.top_k = min(top_k, vocab_size)
         self._block = max(1, _BLOCK_FLOATS // vocab_size)
-        self._rows: list[tuple[int, int | None, int | None, int]] = []  # (step, ctx, draft, list)
+        self._step, self._draft, self._topk = [], [], []  # each record's; the draft -1 where absent
+        self._ctx = bytearray()  # each record's context hash, 8 bytes little-endian
         self._seen: dict[bytes, int] = {}  # the pending block: each vector's list, by its bytes
         self._distinct = 0  # lists so far, ranked or pending
-        self._tokens: list[np.ndarray] = []
-        self._logits: list[np.ndarray] = []
+        self._tokens: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        self._logits: list[np.ndarray] = [np.zeros(0)]
+
+    def _refuse(self, i: int, message: str) -> NoReturn:
+        raise TraceFormatError(f"record {len(self._topk) + i + 1}: {message}")
+
+    def lists(self, vectors: Iterable[np.ndarray]) -> list[int]:
+        """The list id of each of the next records' logit vectors."""
+        ids = []
+        for z in vectors:
+            z = np.asarray(z, dtype=np.float64)
+            if z.shape != (self.vocab_size,):
+                self._refuse(len(ids), f"logit vector of shape {z.shape}, expected ({self.vocab_size},)")
+            ids.append(self._seen.setdefault(z.tobytes(), self._distinct))  # bytes: a copy of the vector
+            if ids[-1] == self._distinct:  # a new list
+                self._distinct += 1
+                if len(self._seen) == self._block:
+                    self._rank()
+        return ids
 
     def __call__(
-        self, position: int, logits: np.ndarray, chosen_draft: int | None, context_hash: int
+        self, position: int, lists: Sequence[int], drafts: Sequence[int | None], digests: bytes
     ) -> None:
-        z = np.asarray(logits, dtype=np.float64)
-        if z.shape != (self.vocab_size,):
-            raise TraceFormatError(
-                f"record {len(self._rows) + 1}: logit vector of shape {z.shape}, "
-                f"expected ({self.vocab_size},)"
-            )
-        bits = z.tobytes()  # a copy: the caller may reuse its vector
-        topk = self._seen.get(bits)
-        if topk is None:
-            topk = self._seen[bits] = self._distinct
-            self._distinct += 1
-        self._rows.append((position, context_hash, chosen_draft, topk))
-        if len(self._seen) == self._block:
-            self._rank()
+        """Record steps position, position + 1, ..., one per id from lists(), each
+        with its draft (None where absent) and 8 bytes of `digests`, its context hash."""
+        m, ints = len(lists), (int, np.integer)
+        if not isinstance(position, ints):
+            self._refuse(0, f"step {position!r} is not an integer")
+        if position < 0:
+            self._refuse(0, "step must be non-negative")
+        if position > 2**63 - m:  # the step column holds signed 64-bit integers
+            self._refuse(max(0, 2**63 - position), "step, tokens and draft must be below 2^63")
+        if len(drafts) != m or len(digests) != 8 * m:
+            self._refuse(0, f"{len(drafts)} drafts and {len(digests)} context hash bytes for {m} records")
+        for i, (j, draft) in enumerate(zip(lists, drafts)):
+            if not (isinstance(j, ints) and 0 <= j < self._distinct):
+                self._refuse(i, f"top-k list {j!r} is not one this recorder returned")
+            if draft is not None and not (isinstance(draft, ints) and 0 <= draft < 2**63):  # -1 reads as absent
+                self._refuse(i, f"drafted token {draft} out of range" if isinstance(draft, ints)
+                             else f"draft {draft!r} is not an integer")
+        self._ctx += digests  # first: bytes of another type fail before a column grows
+        self._step.extend(range(position, position + m))
+        self._draft.extend([-1 if draft is None else draft for draft in drafts])
+        self._topk.extend(lists)
 
     def _rank(self) -> None:
         """Move the pending vectors' top-k into the columns. A stable sort of
@@ -615,20 +626,16 @@ class TraceRecorder:
             self._seen = {}
 
     def to_trace(self, producer: str = "") -> TraceFile:
-        """The records so far as a trace, checked as TraceFile(header, records) is."""
+        """The records so far as a trace, checked as read_trace checks its columns."""
         self._rank()
-        n = len(self._rows)
-        step, ctx, draft, topk = zip(*self._rows) if n else ([], [], [], [])
-        tokens = np.concatenate(self._tokens) if n else np.zeros(0, dtype=np.int64)
-        logits = np.concatenate(self._logits) if n else np.zeros(0)
+        n, exact = len(self._topk), isinstance(self.temperature, float)
         # a float is its own float64; anything else goes to the check as given
-        exact = isinstance(self.temperature, float)
         temp = np.full(n, self.temperature, dtype=np.float64 if exact else object)
-        columns = _handed_in(
-            step, ctx, temp, draft, np.array(topk, dtype=np.int64),
-            np.full(self._distinct, self.top_k, dtype=np.int64), tokens, logits,
-            self.vocab_size, lambda i: f"record {i + 1}",
-        )
+        columns = _columns(
+            np.array(self._step, dtype=np.int64), np.frombuffer(bytes(self._ctx), "<u8"),
+            np.ones(n, dtype=bool), temp, np.array(self._draft, dtype=np.int64),
+            np.array(self._topk, dtype=np.int64), np.full(self._distinct, self.top_k, dtype=np.int64),
+            np.concatenate(self._tokens), np.concatenate(self._logits))
         return _trace_from_columns(TraceHeader(self.vocab_size, producer), columns)
 
 

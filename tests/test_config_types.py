@@ -71,6 +71,25 @@ def test_a_badly_typed_field_is_refused_at_construction(build, message):
         build()
 
 
+def nested(depth: int, value=0.9):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("depth", [1000, 5000])
+@pytest.mark.parametrize("build, field", [
+    (lambda v: ExperimentSpec(theta=[v]), "theta"),
+    (lambda v: DecodeConfig(MARGIN, k=v), "k"),
+    (lambda v: SyntheticTargetConfig(seed=1, logit_spread=v), "logit_spread"),
+], ids=["theta", "k", "logit_spread"])
+def test_a_value_nested_too_deeply_to_quote_is_refused_by_name(build, field, depth):
+    """The message that quotes a badly typed value cannot repr one nested this
+    deep: the field is named in the words a spec file's refusal uses."""
+    with pytest.raises(ValueError, match=f"^field '{field}': nested too deeply$"):
+        build(nested(depth))
+
+
 def test_values_are_stored_as_their_field_types():
     config = DecodeConfig(MARGIN, k=np.int64(7), max_tokens=np.uint8(9), temperature=2)
     assert (config.k, config.max_tokens, config.temperature) == (7, 9, 2.0)

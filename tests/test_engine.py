@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trace_oracle
-from specverify import engine, models, verify
+from trace_oracle import ranked
+from specverify import engine, models, trace, verify
 from specverify.engine import (
     CostModel,
     DecodeConfig,
@@ -26,6 +27,7 @@ from specverify.models import (
     draft_chain,
     window_reader,
 )
+from specverify.trace import TraceRecord, TraceRecorder
 from specverify.verify import VerificationPolicy
 
 from conftest import make_pair
@@ -184,10 +186,14 @@ class TestSimulatedSpeedup:
             simulated_speedup(0, 0, CostModel(), 7)
 
     def test_cost_model_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^field 'c_target': 0\.0 must be finite and > 0$"):
             CostModel(c_target=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^field 'c_target': inf must be finite and > 0$"):
+            CostModel(c_target=float("inf"))
+        with pytest.raises(ValueError, match=r"^field 'c_draft': -0\.1 must be finite and >= 0$"):
             CostModel(c_draft=-0.1)
+        with pytest.raises(ValueError, match=r"^field 'c_draft': nan must be finite and >= 0$"):
+            CostModel(c_draft=float("nan"))
 
     def test_metrics_field_matches_formula(self):
         target, draft = make_pair()
@@ -251,7 +257,7 @@ class TestTreeModeDecode:
         target, draft = make_pair()
         cfg = DecodeConfig(policy=MARGIN_09, k=3, max_tokens=20, mode="tree")
         with pytest.raises(ValueError):
-            decode(target, draft, cfg, [1, 2], recorder=lambda *a: None)
+            decode(target, draft, cfg, [1, 2], recorder=TraceRecorder(64, 1.0))
 
     def test_draft_steps_count_at_most_vocab_size_children(self):
         # a node drafts at most vocab_size (64) children, whatever tree_top_k asks for
@@ -600,20 +606,30 @@ class TestCycleMemo:
         window = max(order, draft.order)
         tokens = data.draw(st.sampled_from([0, 1, 2, 3]).map(lambda n: n * (k + 2) * window)
                            | st.just(engine.CYCLE_MEMO_TOKENS), label="memo tokens")
+        # a recorder's block of unranked vectors: 1 to 3 vectors, or the default
+        block = data.draw(st.sampled_from([1, 2, 3]).map(lambda n: n * vocab)
+                          | st.just(trace._BLOCK_FLOATS), label="block floats")
 
-        def run(decode):
-            calls, sink = [], []
-
-            def recorder(position, logits, chosen, context_hash):
-                calls.append((position, logits.tobytes(), chosen, context_hash))
-
+        def run(decode, recorder):
+            sink = []
             out = decode(target, draft, config, prompt, recorder=recorder if recording else None,
                          cycle_sink=sink)
-            return out, sink, calls
+            return out, sink
 
+        with mock.patch.object(trace, "_BLOCK_FLOATS", block):
+            cycles = trace_oracle.CycleRecorder(vocab, config.temperature)
         with mock.patch.object(engine, "CYCLE_MEMO_TOKENS", tokens):
-            got = run(decode)
-        assert got == run(trace_oracle.decode)
+            got = run(decode, cycles)
+        records = []
+        assert got == run(trace_oracle.decode, lambda step, z, chosen, ctx: records.append(
+            (step, z.tobytes(), chosen, ctx)))
+        if recording:
+            # each record's step, vector, draft and context hash, and the trace of their top-k lists
+            assert cycles.records == records
+            top_k = min(trace.DEFAULT_TOP_K, vocab)
+            expected = [TraceRecord(step, ranked(np.frombuffer(z), top_k), config.temperature, chosen, ctx)
+                        for step, z, chosen, ctx in records]
+            assert cycles.recorder.to_trace().records == expected
 
     @pytest.mark.parametrize("draft_mode, decided", [("greedy", "fewer"), ("sample", "all")])
     def test_only_deterministic_cycles_are_decided_once(self, draft_mode, decided, monkeypatch):
@@ -625,6 +641,20 @@ class TestCycleMemo:
         cfg = DecodeConfig(policy=MARGIN_09, max_tokens=2000, draft_mode=draft_mode, temperature=0.4)
         _, m = decode(target, draft, cfg, [1, 2])
         assert len(calls) < m.cycles / 10 if decided == "fewer" else len(calls) == m.cycles
+
+    @pytest.mark.parametrize("draft_mode, handed", [("greedy", "fewer"), ("sample", "all")])
+    def test_the_recorder_is_called_once_a_cycle(self, draft_mode, handed):
+        """A recorded cycle is one recorder call, and only a decided cycle
+        hands its vectors to `lists`: a replayed one reuses its list ids."""
+        counted = {name: mock.patch.object(TraceRecorder, name, autospec=True,
+                                           side_effect=getattr(TraceRecorder, name))
+                   for name in ("lists", "__call__")}
+        target, draft = make_pair()
+        cfg = DecodeConfig(policy=MARGIN_09, max_tokens=2000, draft_mode=draft_mode, temperature=0.4)
+        with counted["lists"] as lists, counted["__call__"] as call:
+            _, m = decode(target, draft, cfg, [1, 2], recorder=TraceRecorder(64, cfg.temperature))
+        assert call.call_count == m.cycles
+        assert lists.call_count < m.cycles / 10 if handed == "fewer" else lists.call_count == m.cycles
 
 
 class TestEarlyStop:
@@ -639,7 +669,7 @@ class TestEarlyStop:
         # the adversary's third-ranked token
         cfg = DecodeConfig(policy=MARGIN_09, k=7, max_tokens=200, draft_mode="sample",
                            temperature=0.01)
-        recorder = (lambda *record: None) if recording else None
+        recorder = TraceRecorder(64, cfg.temperature) if recording else None
         _, m = decode(target, draft, cfg, [1, 2], recorder=recorder)
         assert m.rejected_count == m.cycles == 200
         assert len(draft.lengths) == m.cycles * (cfg.k if recording else 1)

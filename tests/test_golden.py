@@ -85,6 +85,8 @@ CASES = {
     "tree_margin": [["run", "--spec", "tree.json", "--out", "tree.csv"]],
     "tree_strict": [["run", "--spec", "tree.json", "--policy", "strict", "--out", "tree.csv"]],
     "stop_token_sample": [["run", "--spec", "stop.json", "--seed", "3", "--out", "stop.csv"]],
+    # sampled drafting with a stop token: no cycle repeats, so none is replayed from decode's memo
+    "stop_token_record": [["record", "--spec", "stop.json", "--seed", "3", "--out", "s.trace"]],
     "record": [RECORD],
     "replay_strict": [RECORD, ["replay", "rec.trace", "--policy", "strict", "--out", "rep.csv"]],
     "replay_margin": [RECORD, ["replay", "rec.trace", "--theta", "0.85"]],
@@ -113,6 +115,7 @@ GOLDEN = {
     "replay_strict": "5d4eee4506d70190a5e5937f29cd05e4d4a623a4134379ef4a23a4e955162d53",
     "run_margin": "f80b74d225f46e54ecee008b2d71daad563bcfb6da2baf0cffeb5caa3fb58aca",
     "run_strict_stdout": "37b04d1d52d2c90688cdc629503a16b2fc1cdadbf90781cc72f4ca38edc0a163",
+    "stop_token_record": "922d57d8ae847232047221b6222a0826a1544a9cd7fb6e250736ff28cc749c2b",
     "stop_token_sample": "63283d7965ca50c2a593e83cf15588b0f0ca6cb9563fa6b5b59f0685b696133e",
     "sweep_temperature_sample": "9ff4aa580be23a9580d452b499c28169d61eb488287f6db1eeb13fd767f1745a",
     "sweep_theta_k": "459cab8e14830ed79cbe8defd1a9d9aee239093d51421be73a64705eebe24b34",

@@ -29,7 +29,7 @@ from specverify.verify import Decision, VerificationPolicy, decide_position
 
 import trace_oracle
 from conftest import make_pair
-from trace_oracle import replay_cycles
+from trace_oracle import ranked, replay_cycles
 
 MARGIN_09 = VerificationPolicy.margin_aware(0.9)
 STRICT = VerificationPolicy.strict()
@@ -342,45 +342,152 @@ class TestValidation:
             read_trace(tmp_path / "does-not-exist.trace")
 
 
+def record(rec, step, logits, draft, ctx):
+    """One record handed to a recorder as a cycle of one."""
+    rec(step, rec.lists([logits]), [draft], ctx.to_bytes(8, "little"))
+
+
+def hand_cycle(rec, vectors, start, buffer=None):
+    """Vectors handed to a recorder as one cycle of records start, start + 1,
+    ...: record i drafts i % 3 or None and has context hash 7 * i, as
+    lexsort_outcome's records do. With a buffer, each vector is copied into
+    it as the recorder reads it, so that the recorder sees one array mutated
+    in place."""
+
+    def given():
+        for z in vectors:
+            if buffer is None:
+                yield np.array(z)
+            else:
+                buffer[:] = z
+                yield buffer
+
+    steps = range(start, start + len(vectors))
+    rec(start, rec.lists(given()), [i % 3 or None for i in steps],
+        b"".join((7 * i).to_bytes(8, "little") for i in steps))
+
+
 class TestRecorder:
     def test_records_sorted_topk(self):
         rec = TraceRecorder(vocab_size=8, temperature=1.0, top_k=4)
-        rec(0, np.array([0.0, 5.0, 5.0, 1.0, -2.0, 3.0, 0.5, 0.25]), 2, hash_context([1, 2]))
+        record(rec, 0, np.array([0.0, 5.0, 5.0, 1.0, -2.0, 3.0, 0.5, 0.25]), 2, hash_context([1, 2]))
         records = rec.to_trace().records
         (entries,) = [r.top_k for r in records]
         assert [t for t, _ in entries] == [1, 2, 5, 3]  # tie 5.0/5.0 broken by id
         assert records[0].chosen_draft == 2
-        assert records[0].context_hash is not None
+        assert records[0].context_hash == hash_context([1, 2])
 
     def test_topk_capped_at_vocab(self):
         rec = TraceRecorder(vocab_size=3, temperature=1.0, top_k=10)
-        rec(0, np.array([1.0, 2.0, 3.0]), None, hash_context([0]))
+        record(rec, 0, np.array([1.0, 2.0, 3.0]), None, hash_context([0]))
         assert len(rec.to_trace().records[0].top_k) == 3
 
     @pytest.mark.parametrize("size", [3, 63, 65])
     def test_wrong_length_vector_names_the_record(self, size):
         rec = TraceRecorder(vocab_size=64, temperature=1.0)
-        rec(0, np.zeros(64), 1, 0)
+        record(rec, 0, np.zeros(64), 1, 0)
         with pytest.raises(TraceFormatError, match=re.escape(f"record 2: logit vector of shape ({size},)")):
-            rec(1, np.zeros(size), None, 0)
-        assert len(rec.to_trace().records) == 1  # the refused vector is not recorded
+            rec.lists([np.zeros(size)])
+        with pytest.raises(TraceFormatError, match=re.escape(f"record 3: logit vector of shape ({size},)")):
+            rec.lists([np.ones(64), np.zeros(size)])
+        assert len(rec.to_trace().records) == 1  # no vector of a refused call is recorded
 
     @pytest.mark.parametrize(
-        "step, draft, ctx, message",
+        "step, drafts, message",
         [
-            (1, -5, 0, "drafted token -5 out of range"),
-            (1, -1, 0, "drafted token -1 out of range"),  # not an absent draft
-            (2**63, 1, 0, "step, tokens and draft must be below 2^63"),
-            (1, 1, -1, "ctx -1 is not an unsigned 64-bit integer"),
-            (2.5, 1, 0, "step 2.5 is not an integer"),
+            (1, [-5], "record 2: drafted token -5 out of range"),
+            (1, [-1], "record 2: drafted token -1 out of range"),  # not an absent draft
+            (1, [1, 2**63], "record 3: drafted token 9223372036854775808 out of range"),
+            (-1, [1], "record 2: step must be non-negative"),
+            (2**63, [1], "record 2: step, tokens and draft must be below 2^63"),
+            (2**63 - 2, [1, 2, 3], "record 4: step, tokens and draft must be below 2^63"),
         ],
     )
-    def test_bad_value_handed_to_the_recorder_names_its_record(self, step, draft, ctx, message):
+    def test_a_value_the_columns_cannot_hold_names_its_record(self, step, drafts, message):
+        """A step or draft that the 64-bit columns cannot hold, or that would
+        read as an absent draft, is refused when its cycle is handed over, in
+        the words of the trace check."""
         rec = TraceRecorder(vocab_size=8, temperature=1.0)
-        rec(0, np.zeros(8), 1, 0)
-        rec(step, np.arange(8.0), draft, ctx)
-        with pytest.raises(TraceFormatError, match=re.escape(f"record 2: {message}")):
+        record(rec, 0, np.zeros(8), 1, 0)
+        ids = rec.lists([np.arange(8.0)] * len(drafts))
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            rec(step, ids, drafts, bytes(8 * len(drafts)))
+        assert len(rec.to_trace().records) == 1  # the refused cycle is not recorded
+
+    def test_a_draft_past_the_vocabulary_is_named_by_to_trace(self):
+        rec = TraceRecorder(vocab_size=8, temperature=1.0)
+        record(rec, 0, np.zeros(8), 1, 0)
+        rec(1, rec.lists([np.arange(8.0)] * 3), [1, 2, 8], bytes(24))
+        with pytest.raises(TraceFormatError, match="^record 4: drafted token 8 out of range$"):
             rec.to_trace()
+
+    @pytest.mark.parametrize("step, message", [
+        (2.5, "record 2: step 2.5 is not an integer"),
+        ("1", "record 2: step '1' is not an integer"),
+        (None, "record 2: step None is not an integer"),
+    ])
+    def test_a_position_that_is_not_an_integer_is_refused(self, step, message):
+        rec = TraceRecorder(vocab_size=8, temperature=1.0)
+        record(rec, 0, np.zeros(8), 1, 0)
+        ids = rec.lists([np.arange(8.0), np.ones(8)])
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            rec(step, ids, [1, None], bytes(16))
+        assert len(rec.to_trace().records) == 1
+
+    @pytest.mark.parametrize("draft, message", [
+        (2.0, "record 3: draft 2.0 is not an integer"),
+        ("2", "record 3: draft '2' is not an integer"),
+        ((2,), "record 3: draft (2,) is not an integer"),
+    ])
+    def test_a_draft_that_is_not_an_integer_or_none_is_refused(self, draft, message):
+        rec = TraceRecorder(vocab_size=8, temperature=1.0)
+        record(rec, 0, np.zeros(8), 1, 0)
+        ids = rec.lists([np.arange(8.0), np.ones(8)])
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            rec(1, ids, [np.int64(1), draft], bytes(16))
+        assert len(rec.to_trace().records) == 1
+
+    @pytest.mark.parametrize("drafts, digests, message", [
+        ([1, None], bytes(15), "record 2: 2 drafts and 15 context hash bytes for 2 records"),
+        ([1, None], bytes(24), "record 2: 2 drafts and 24 context hash bytes for 2 records"),
+        ([1], bytes(8), "record 2: 1 drafts and 8 context hash bytes for 2 records"),
+    ])
+    def test_a_digest_block_of_the_wrong_length_is_refused(self, drafts, digests, message):
+        """Each record takes 8 bytes of the block, and one draft."""
+        rec = TraceRecorder(vocab_size=8, temperature=1.0)
+        record(rec, 0, np.zeros(8), 1, 0)
+        ids = rec.lists([np.arange(8.0), np.ones(8)])
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            rec(1, ids, drafts, digests)
+        assert len(rec.to_trace().records) == 1
+
+    @pytest.mark.parametrize("bad, message", [
+        (3, "top-k list 3 is not one this recorder returned"),
+        (-1, "top-k list -1 is not one this recorder returned"),
+        (1.0, "top-k list 1.0 is not one this recorder returned"),
+        (None, "top-k list None is not one this recorder returned"),
+    ])
+    def test_a_list_id_the_recorder_never_returned_is_refused(self, bad, message):
+        rec = TraceRecorder(vocab_size=8, temperature=1.0)
+        record(rec, 0, np.zeros(8), 1, 0)
+        ids = rec.lists([np.arange(8.0), np.ones(8)])  # lists 1 and 2
+        with pytest.raises(TraceFormatError, match=f"^record 3: {re.escape(message)}$"):
+            rec(1, [ids[0], bad], [1, None], bytes(16))
+        assert len(rec.to_trace().records) == 1
+
+    def test_a_list_id_stays_valid_after_its_block_is_ranked(self):
+        """A cycle replayed from decode's memo hands over ids of lists that
+        were ranked, and the map of vectors seen cleared, since: each record
+        still reads its own vector's list."""
+        with mock.patch.object(trace_module, "_BLOCK_FLOATS", 3):
+            rec = TraceRecorder(vocab_size=3, temperature=0.5, top_k=3)
+        vectors = [[1.0, 2.0, 0.5], [3.0, 0.0, -1.0]]
+        first = rec.lists([np.array(vectors[0])])  # a block of one: ranked at once
+        rec(0, first, [1], bytes(8))
+        rec(1, rec.lists([np.array(vectors[1])]), [2], bytes(8))
+        rec(2, first, [None], bytes(8))
+        assert [r.top_k for r in rec.to_trace().records] == [
+            ranked(np.array(vectors[i]), 3) for i in (0, 1, 0)]
 
     @pytest.mark.parametrize(
         "temperature", ["1", None, 10**400, 0.0, -1, math.nan, 1, np.float32(0.5)],
@@ -390,7 +497,7 @@ class TestRecorder:
         """Refused with the message TraceFile gives for the same record, or
         recorded as the column TraceFile holds."""
         rec = TraceRecorder(vocab_size=8, temperature=temperature, top_k=2)
-        rec(0, np.arange(8.0), 1, 5)
+        record(rec, 0, np.arange(8.0), 1, 5)
         given = [TraceRecord(0, ((7, 7.0), (6, 6.0)), temperature, 1, 5)]
         try:
             expected = TraceFile(TraceHeader(8), given).columns.temp
@@ -414,7 +521,7 @@ class TestRecorder:
 
     def test_a_string_temperature_is_named(self):
         rec = TraceRecorder(vocab_size=8, temperature="1")
-        rec(0, np.arange(8.0), None, 0)
+        record(rec, 0, np.arange(8.0), None, 0)
         message = "record 1: temperature '1' is not a float64 number"
         with pytest.raises(TraceFormatError, match=re.escape(message)):
             rec.to_trace()
@@ -423,38 +530,42 @@ class TestRecorder:
         vocab=st.integers(2, 9),
         top_k=st.integers(2, 10),
         block=st.integers(1, 4),
+        size=st.integers(1, 3),
         data=st.data(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_block_columns_equal_per_record_lexsort(self, vocab, top_k, block, data):
+    def test_block_columns_equal_per_record_lexsort(self, vocab, top_k, block, size, data):
         """Ranking a block at a time gives the columns (or the first bad
-        record's message) of one lexsort per record, with records read
-        between calls and blocks of 1 to 4 records."""
+        record's message) of one lexsort per record, with cycles of 1 to 3
+        records, records read between cycles and blocks of 1 to 4 records."""
         vectors = data.draw(st.lists(
             st.lists(st.sampled_from(RECORDER_LOGITS), min_size=vocab, max_size=vocab),
             max_size=12,
         ))
-        reads = set(data.draw(st.lists(st.integers(0, len(vectors)), max_size=3)))
+        starts = range(0, len(vectors), size)
+        reads = set(data.draw(st.lists(st.sampled_from([*starts, len(vectors)]), max_size=3)))
         with mock.patch.object(trace_module, "_BLOCK_FLOATS", block * vocab):
             rec = TraceRecorder(vocab_size=vocab, temperature=0.5, top_k=top_k)
-        for i, z in enumerate([*vectors, None]):
-            if i in reads or z is None:
-                assert recorder_outcome(rec) == lexsort_outcome(vectors[:i], vocab, top_k)
-            if z is not None:
-                rec(i, np.array(z), i % 3 or None, 7 * i)
+        for start in [*starts, len(vectors)]:
+            if start in reads or start == len(vectors):
+                assert recorder_outcome(rec) == lexsort_outcome(vectors[:start], vocab, top_k)
+            if start < len(vectors):
+                hand_cycle(rec, vectors[start : start + size], start)
 
     @given(
         vocab=st.integers(2, 6),
         block=st.integers(1, 3),
+        size=st.integers(1, 3),
         reuse=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_repeated_vectors_equal_per_record_lexsort(self, vocab, block, reuse, data):
+    def test_repeated_vectors_equal_per_record_lexsort(self, vocab, block, size, reuse, data):
         """Vectors drawn from a small pool, so that records repeat one another,
-        before and after the map of vectors seen is cleared with a block,
-        and with reuse one array mutated in place between calls: the columns
-        (or the first bad record's message) of one lexsort per record."""
+        before and after the map of vectors seen is cleared with a block, in
+        cycles of 1 to 3 records, and with reuse one array mutated in place
+        as the recorder reads it: the columns (or the first bad record's
+        message) of one lexsort per record."""
         pool = data.draw(st.lists(
             st.lists(st.sampled_from(RECORDER_LOGITS), min_size=vocab, max_size=vocab),
             min_size=1, max_size=4,
@@ -462,19 +573,16 @@ class TestRecorder:
         vectors = [pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=14))]
         with mock.patch.object(trace_module, "_BLOCK_FLOATS", block * vocab):
             rec = TraceRecorder(vocab_size=vocab, temperature=0.5, top_k=vocab)
-        buffer = np.zeros(vocab)
-        for i, z in enumerate(vectors):
-            if reuse:
-                buffer[:] = z
-            rec(i, buffer if reuse else np.array(z), i % 3 or None, 7 * i)
+        buffer = np.zeros(vocab) if reuse else None
+        for start in range(0, len(vectors), size):
+            hand_cycle(rec, vectors[start : start + size], start, buffer)
         assert recorder_outcome(rec) == lexsort_outcome(vectors, vocab, vocab)
 
     def test_vectors_equal_but_for_zero_signs_are_distinct_rows(self):
         """0.0 == -0.0, but a record keeps the bits it was handed."""
         rec = TraceRecorder(vocab_size=3, temperature=0.5, top_k=3)
         vectors = [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [-0.0, -0.0, 1.0]]
-        for i, z in enumerate(vectors):
-            rec(i, np.array(z), i % 3 or None, 7 * i)
+        hand_cycle(rec, vectors, 0)
         columns = rec.to_trace().columns
         logits = columns.logits.reshape(-1, 3)[columns.topk]  # each record's list
         assert [np.signbit(row).tolist() for row in logits] == [
@@ -486,16 +594,12 @@ class TestRecorder:
         its trace holds one top-k list per distinct vector the recorder was
         handed, and each record reads its own vector's list through its id."""
         target, draft = make_pair()
-        recorder, handed = TraceRecorder(64, temperature=1.0), []
-
-        def spy(position, logits, chosen_draft, context_hash):
-            handed.append(np.array(logits))
-            recorder(position, logits, chosen_draft, context_hash)
-
-        decode(target, draft, DecodeConfig(policy=MARGIN_09, k=7, max_tokens=400), [5, 6], recorder=spy)
-        columns = recorder.to_trace().columns
-        assert columns.offsets.size - 1 == len({z.tobytes() for z in handed}) < len(columns) // 4
+        cycles = trace_oracle.CycleRecorder(64)
+        decode(target, draft, DecodeConfig(policy=MARGIN_09, k=7, max_tokens=400), [5, 6], recorder=cycles)
+        columns = cycles.recorder.to_trace().columns
+        assert columns.offsets.size - 1 == len(set(cycles.vectors.values())) < len(columns) // 4
         assert columns.tokens.size == trace_module.DEFAULT_TOP_K * (columns.offsets.size - 1)
+        handed = [np.frombuffer(z) for _, z, _, _ in cycles.records]  # each record's vector
         assert columns.top_two()[0].tolist() == [int(z.argmax()) for z in handed]
 
     def test_the_fixture_record_holds_its_80_lists(self, tmp_path):
@@ -537,9 +641,8 @@ class TestRecorder:
 
     def test_a_bad_vector_handed_at_records_2_and_5_names_record_2(self):
         rec = TraceRecorder(vocab_size=3, temperature=0.5, top_k=3)
-        for i, z in enumerate([[1.0, 2.0, 0.5], [np.nan, 1.0, 0.0], [3.0, 0.0, -1.0],
-                               [1.0, 2.0, 0.5], [np.nan, 1.0, 0.0]]):
-            rec(i, np.array(z), None, i)
+        hand_cycle(rec, [[1.0, 2.0, 0.5], [np.nan, 1.0, 0.0], [3.0, 0.0, -1.0]], 0)
+        hand_cycle(rec, [[1.0, 2.0, 0.5], [np.nan, 1.0, 0.0]], 3)
         with pytest.raises(TraceFormatError, match=r"^record 2: non-finite logit for token 0$"):
             rec.to_trace()
 
@@ -554,16 +657,15 @@ class TestRecorder:
             rec = TraceRecorder(vocab_size=3, temperature=0.5, top_k=3)
         buffer = np.zeros(3)
         for i, z in enumerate(vectors):
-            buffer[:] = z
-            rec(i, buffer, i % 3 or None, 7 * i)
+            hand_cycle(rec, [z], i, buffer)
         assert recorder_outcome(rec) == lexsort_outcome(vectors, 3, 3)
-        for i, z in enumerate([[np.nan, 1.0, 0.0], [1.0, 2.0, 0.5], [np.nan, 1.0, 0.0]], len(vectors)):
-            vectors.append(z)
-            rec(i, np.array(z), i % 3 or None, 7 * i)
+        more = [[np.nan, 1.0, 0.0], [1.0, 2.0, 0.5], [np.nan, 1.0, 0.0]]
+        hand_cycle(rec, more, len(vectors))
+        vectors += more
         assert recorder_outcome(rec) == lexsort_outcome(vectors, 3, 3) == (
             "record 6: non-finite logit for token 0")
         with pytest.raises(TraceFormatError, match=re.escape("record 9: logit vector of shape (2,)")):
-            rec(8, np.zeros(2), None, 0)
+            rec.lists([np.zeros(2)])
 
 
 # logits with ties, both zeros and every non-finite value
@@ -590,11 +692,10 @@ def recorder_outcome(rec):
 
 def lexsort_outcome(vectors, vocab, top_k):
     """The columns of one lexsort per vector, or the first bad record's message."""
-    records = []
-    for i, z in enumerate(np.array(v, dtype=np.float64) for v in vectors):
-        order = np.lexsort((np.arange(z.size), -z))[: min(top_k, vocab)]
-        entries = tuple(zip(order.tolist(), z[order].tolist()))
-        records.append(TraceRecord(i, entries, 0.5, i % 3 or None, 7 * i))
+    records = [
+        TraceRecord(i, ranked(np.array(z, dtype=np.float64), min(top_k, vocab)), 0.5, i % 3 or None, 7 * i)
+        for i, z in enumerate(vectors)
+    ]
     try:
         return column_bits(TraceFile(TraceHeader(vocab), records).columns)
     except TraceFormatError as exc:

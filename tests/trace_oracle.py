@@ -8,7 +8,9 @@ replay decides one cycle at a time, and analysis takes a 1-D softmax per
 record and builds one `ScatterPoint` per record, which `write_scatter`
 writes with `csv.writer` one row at a time. `decode` is the draft-verify
 loop with no cycle memo: it drafts, scores and verifies every cycle anew,
-and hashes each record's context whole.
+hashes each record's context whole, and calls its recorder once per record.
+`CycleRecorder` expands the engine's per-cycle recorder calls into the same
+per-record tuples.
 Its tree mode builds the full draft tree with `build_draft_tree` and walks it
 with `verify_tree`, where the engine walks only the path verification follows.
 """
@@ -471,3 +473,33 @@ def decode(
         ctx += committed
     out = ctx[len(prompt) :]
     return out, metrics_from_cycles(results, len(out), steps_per_cycle * len(results), cost, k)
+
+
+def ranked(z: np.ndarray, top_k: int) -> tuple[tuple[int, float], ...]:
+    """A logit vector's top-k list by one lexsort: logit-descending, ties by ascending token id."""
+    order = np.lexsort((np.arange(z.size), -z))[:top_k]
+    return tuple(zip(order.tolist(), z[order].tolist()))
+
+
+class CycleRecorder:
+    """A `TraceRecorder` for `specverify.engine.decode` that also keeps each
+    record as the (step, logit-vector bytes, chosen draft, context hash)
+    tuple that `decode` above hands its per-record recorder."""
+
+    def __init__(self, vocab_size: int, temperature: float = 1.0):
+        self.recorder = specverify.trace.TraceRecorder(vocab_size, temperature)
+        self.vectors: dict[int, bytes] = {}  # each list id's vector
+        self.records: list[tuple[int, bytes, int | None, int]] = []
+
+    def lists(self, vectors) -> list[int]:
+        vectors = [np.array(z, dtype=np.float64) for z in vectors]
+        ids = self.recorder.lists(vectors)
+        self.vectors.update(zip(ids, (z.tobytes() for z in vectors)))
+        return ids
+
+    def __call__(self, position: int, lists: list[int], drafts: list[int | None], digests: bytes) -> None:
+        self.recorder(position, lists, drafts, digests)
+        self.records += [
+            (position + i, self.vectors[j], draft, int.from_bytes(digests[8 * i : 8 * i + 8], "little"))
+            for i, (j, draft) in enumerate(zip(lists, drafts))
+        ]
