@@ -59,7 +59,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-tokens", type=int, help="tokens to commit per run")
     p.add_argument("--seed", type=int, help="root seed for per-row seed derivation")
     p.add_argument("--policy", choices=["strict", "margin"], help="verification policy")
-    p.add_argument("--cost-ratio", type=float, help="c_draft / c_target for simulated speedup")
+    p.add_argument("--cost-ratio", type=float, help="cost of a draft step, in target passes (c_draft)")
 
 
 def build_parser() -> argparse.ArgumentParser:

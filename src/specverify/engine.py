@@ -5,8 +5,8 @@ positions needed for verification plus the bonus token, verifies, and commits.
 The K+1 target scorings of a cycle are billed as ONE target pass — the
 parallel-verification abstraction — so vanilla decoding costs one pass per
 token while speculative decoding costs one pass plus K draft steps per cycle.
-Simulated speedup is (committed * c_target) / (cycles * (c_target + K * c_draft)),
-i.e. tau / (1 + K * c_draft / c_target); no wall-clock claims are made.
+Simulated speedup is committed / (cycles * (1 + K * c_draft)), with c_draft in
+target passes, i.e. tau / (1 + K * c_draft); no wall-clock claims are made.
 
 The rule discards the draft after its first rejection, so a chain cycle
 drafts and verifies one position at a time and stops there: it drafts and
@@ -35,7 +35,7 @@ id (from recorder.lists), chosen draft and packed draft of each of its K+1
 records, keyed by the tail, and replays them when the tail comes back. The
 memo is one decode's, and holds at most CYCLE_MEMO_TOKENS window tokens. A
 recorder gets one call per cycle, with the context hash digests of its
-records from the running hasher.
+records from the running hasher, and numbers the records itself.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ DEFAULT_COST_RATIO = 0.05
 CYCLE_MEMO_TOKENS = 2**16
 
 # decode's recorder: recorder.lists(vectors) ranks a decided cycle's K+1 target
-# vectors into top-k list ids, and recorder(position, lists, drafts, digests)
-# records a cycle (trace.TraceRecorder)
+# vectors into top-k list ids, and recorder(lists, drafts, digests) records a
+# cycle as the next K+1 steps (trace.TraceRecorder)
 if TYPE_CHECKING:
     from .trace import TraceRecorder as Recorder
 
@@ -77,16 +77,13 @@ def context_hasher(tokens: Sequence[int]) -> hashlib.blake2b:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Declared per-pass costs: c_target per parallel verification pass,
-    c_draft per draft-token forward step."""
+    """Declared cost of a draft-token forward step, c_draft, in units of one
+    parallel verification pass of the target."""
 
-    c_target: float = 1.0
     c_draft: float = DEFAULT_COST_RATIO
 
     def __post_init__(self) -> None:
         check_types(self)
-        if not 0 < self.c_target < np.inf:
-            raise ValueError(f"field 'c_target': {self.c_target} must be finite and > 0")
         if not 0 <= self.c_draft < np.inf:
             raise ValueError(f"field 'c_draft': {self.c_draft} must be finite and >= 0")
 
@@ -148,7 +145,7 @@ def simulated_speedup(total_committed: int, cycles: int, cost: CostModel, k: int
     """Vanilla autoregressive cost over speculative cost under the declared model."""
     if cycles < 1:
         raise ValueError("speedup is undefined before the first cycle completes")
-    return (total_committed * cost.c_target) / (cycles * (cost.c_target + k * cost.c_draft))
+    return total_committed / (cycles * (1 + k * cost.c_draft))
 
 
 def agreement_rate(output_a: Sequence[int], output_b: Sequence[int]) -> float:
@@ -251,7 +248,6 @@ def decode(
     hasher = context_hasher(ctx) if recorder is not None else None
     gen = np.random.default_rng(config.seed)
     results: list[CycleResult] = []
-    position = 0
     done = False
     if config.mode == "chain":
         steps_per_cycle = k
@@ -327,8 +323,7 @@ def decode(
             for tok in packed:
                 prefix.update(tok)
                 digests.append(prefix.digest())
-            recorder(position, lists, chosen, b"".join(digests))
-            position += k + 1
+            recorder(lists, chosen, b"".join(digests))
 
         results.append(result)
         if cycle_sink is not None:

@@ -15,15 +15,15 @@ A trace is held as numpy columns (`TraceColumns`): each record's fields and
 the id of its top-k list, and the lists, which records may share. Each
 producer finds the lists once, where the trace is made: `TraceRecorder` ranks
 each distinct logit vector once, keyed by its bytes, and records a cycle at a
-time by the list ids it returned, into typed columns; `read_trace` parses and
+time by the list ids it returned, numbering the records; `read_trace` parses and
 grammar-checks each distinct top-k text once, keyed by the text, and drops
 the texts it holds once they reach `_BLOCK_FLOATS` top-k entries;
 `TraceFile(header, records)` makes a list per distinct `top_k` object, keyed
 by identity (the row view shares one object per list). `write_trace` formats
 each list once within the same bound. One check, a mask per rule over all
 records with the entry rules checked once a list, serves all three
-producers. `TraceRecord` is the row view, built only when `TraceFile.records`
-is read.
+producers and types their columns. `TraceRecord` is the row view, built only
+when `TraceFile.records` is read.
 
 A recorded decode writes, per cycle, K draft-carrying records followed by one
 draft-less record holding the (K+1)-th parallel vector; replay groups records
@@ -171,13 +171,13 @@ def _is_float64(value) -> bool:
         isinstance(value, (int, np.integer)) and -(2**1024 - 2**970) < value < 2**1024 - 2**970)
 
 
-def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> None:
+def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> TraceColumns:
     """Raise TraceFormatError for the first record the trace grammar rejects,
     named by where(i), citing the first rule below that it breaks; each rule
     is a mask over all records, and the entry rules are checked once a list
     and flag a record through its list. Columns may be object arrays of values
     a caller gave, which need not be numbers or fit 64 bits, with None for an
-    absent draft."""
+    absent draft. Returns the columns in the dtypes that TraceColumns names."""
     absent = c.draft == (None if c.draft.dtype == object else -1)
     # per column, in line order (a top-k token before a logit): its field's name and
     # kind, and its values that are not of that kind
@@ -253,6 +253,9 @@ def _check(c: TraceColumns, vocab_size: int, where: Callable[[int], str]) -> Non
     if bad.any():
         i = int(bad.argmax())
         raise TraceFormatError(f"{where(i)}: {next(text(i) for mask, text in rules if mask[i])}")
+    dtypes = {"step": np.int64, "ctx": np.uint64, "temp": np.float64, "tokens": np.int64, "logits": np.float64}
+    return replace(given, draft=np.where(absent, -1, given.draft).astype(np.int64), **{
+        column: getattr(given, column).astype(dtype, copy=False) for column, dtype in dtypes.items()})
 
 
 def _pairs(top_k) -> bool:
@@ -276,17 +279,14 @@ def _record_columns(records: Sequence[TraceRecord], vocab_size: int, where) -> T
             raise TraceFormatError(
                 f"{where(topk.index(j))}: top-k {top_k!r} is not a list of (token, logit) pairs")
     has_ctx = np.array([r.context_hash is not None for r in records], dtype=bool)
-    step, ctx, temp, draft, tokens, logits = (np.array(x, dtype=object) for x in (
+    # element by element: np.array would make a value that is a sequence a dimension
+    step, ctx, temp, draft, tokens, logits = (np.fromiter(x, object, len(x)) for x in (
         [r.step for r in records], [0 if r.context_hash is None else r.context_hash for r in records],
         [r.temperature for r in records], [r.chosen_draft for r in records],
         [tok for t in tops for tok, _ in t], [z for t in tops for _, z in t]))
     raw = _columns(step, ctx, has_ctx, temp, draft, np.array(topk, dtype=np.int64),
                    np.array([len(t) for t in tops], dtype=np.int64), tokens, logits)
-    _check(raw, vocab_size, where)
-    draft[draft == None] = -1  # elementwise, unlike `is None`
-    return replace(raw, step=step.astype(np.int64), ctx=ctx.astype(np.uint64), temp=temp.astype(np.float64),
-                   draft=draft.astype(np.int64), tokens=tokens.astype(np.int64),
-                   logits=logits.astype(np.float64))
+    return _check(raw, vocab_size, where)
 
 
 class TraceFile:
@@ -307,11 +307,9 @@ class TraceFile:
 
 
 def _trace_from_columns(header, c: TraceColumns, where=lambda i: f"record {i + 1}") -> TraceFile:
-    """A trace around columns that read_trace or the recorder made, once they
-    pass _check; a temperature the check took as a Python number is a float64."""
-    _check(c, header.vocab_size, where)
+    """A trace around columns that read_trace or the recorder made, once they pass _check."""
     trace = TraceFile.__new__(TraceFile)
-    trace.header, trace.columns = header, replace(c, temp=c.temp.astype(np.float64, copy=False))
+    trace.header, trace.columns = header, _check(c, header.vocab_size, where)
     return trace
 
 
@@ -549,7 +547,7 @@ def hash_context(context: Sequence[int]) -> int:
 
 
 class TraceRecorder:
-    """Engine recorder filling typed trace columns a cycle at a time. lists()
+    """Engine recorder filling trace columns a cycle at a time. lists()
     copies and ranks each distinct logit vector once, keyed by its bytes, a
     block of at most `_BLOCK_FLOATS` logits at a time, into a top-k list whose
     id stays valid after its block is ranked; to_trace ranks a partial block."""
@@ -564,7 +562,7 @@ class TraceRecorder:
         self.temperature = temperature
         self.top_k = min(top_k, vocab_size)
         self._block = max(1, _BLOCK_FLOATS // vocab_size)
-        self._step, self._draft, self._topk = [], [], []  # each record's; the draft -1 where absent
+        self._draft, self._topk = [], []  # each record's, the draft as given
         self._ctx = bytearray()  # each record's context hash, 8 bytes little-endian
         self._seen: dict[bytes, int] = {}  # the pending block: each vector's list, by its bytes
         self._distinct = 0  # lists so far, ranked or pending
@@ -575,42 +573,35 @@ class TraceRecorder:
         raise TraceFormatError(f"record {len(self._topk) + i + 1}: {message}")
 
     def lists(self, vectors: Iterable[np.ndarray]) -> list[int]:
-        """The list id of each of the next records' logit vectors."""
-        ids = []
+        """The list id of each of the next records' logit vectors. A call that
+        is refused adds no list."""
+        keys = []  # each vector's bytes, a copy as it is read: a caller may refill one array
         for z in vectors:
             z = np.asarray(z, dtype=np.float64)
             if z.shape != (self.vocab_size,):
-                self._refuse(len(ids), f"logit vector of shape {z.shape}, expected ({self.vocab_size},)")
-            ids.append(self._seen.setdefault(z.tobytes(), self._distinct))  # bytes: a copy of the vector
+                self._refuse(len(keys), f"logit vector of shape {z.shape}, expected ({self.vocab_size},)")
+            keys.append(z.tobytes())
+        ids = []
+        for key in keys:
+            ids.append(self._seen.setdefault(key, self._distinct))
             if ids[-1] == self._distinct:  # a new list
                 self._distinct += 1
                 if len(self._seen) == self._block:
                     self._rank()
         return ids
 
-    def __call__(
-        self, position: int, lists: Sequence[int], drafts: Sequence[int | None], digests: bytes
-    ) -> None:
-        """Record steps position, position + 1, ..., one per id from lists(), each
-        with its draft (None where absent) and 8 bytes of `digests`, its context hash."""
-        m, ints = len(lists), (int, np.integer)
-        if not isinstance(position, ints):
-            self._refuse(0, f"step {position!r} is not an integer")
-        if position < 0:
-            self._refuse(0, "step must be non-negative")
-        if position > 2**63 - m:  # the step column holds signed 64-bit integers
-            self._refuse(max(0, 2**63 - position), "step, tokens and draft must be below 2^63")
+    def __call__(self, lists: Sequence[int], drafts: Sequence[int | None], digests: bytes) -> None:
+        """Record one record per id from lists(), its step the number of
+        records before it, with its draft (None where absent), kept as given
+        for to_trace to check, and 8 bytes of `digests`, its context hash."""
+        m = len(lists)
         if len(drafts) != m or len(digests) != 8 * m:
             self._refuse(0, f"{len(drafts)} drafts and {len(digests)} context hash bytes for {m} records")
-        for i, (j, draft) in enumerate(zip(lists, drafts)):
-            if not (isinstance(j, ints) and 0 <= j < self._distinct):
+        for i, j in enumerate(lists):
+            if not (isinstance(j, (int, np.integer)) and 0 <= j < self._distinct):
                 self._refuse(i, f"top-k list {j!r} is not one this recorder returned")
-            if draft is not None and not (isinstance(draft, ints) and 0 <= draft < 2**63):  # -1 reads as absent
-                self._refuse(i, f"drafted token {draft} out of range" if isinstance(draft, ints)
-                             else f"draft {draft!r} is not an integer")
         self._ctx += digests  # first: bytes of another type fail before a column grows
-        self._step.extend(range(position, position + m))
-        self._draft.extend([-1 if draft is None else draft for draft in drafts])
+        self._draft.extend(drafts)
         self._topk.extend(lists)
 
     def _rank(self) -> None:
@@ -632,8 +623,8 @@ class TraceRecorder:
         # a float is its own float64; anything else goes to the check as given
         temp = np.full(n, self.temperature, dtype=np.float64 if exact else object)
         columns = _columns(
-            np.array(self._step, dtype=np.int64), np.frombuffer(bytes(self._ctx), "<u8"),
-            np.ones(n, dtype=bool), temp, np.array(self._draft, dtype=np.int64),
+            np.arange(n, dtype=np.int64), np.frombuffer(bytes(self._ctx), "<u8"),
+            np.ones(n, dtype=bool), temp, np.fromiter(self._draft, object, n),
             np.array(self._topk, dtype=np.int64), np.full(self._distinct, self.top_k, dtype=np.int64),
             np.concatenate(self._tokens), np.concatenate(self._logits))
         return _trace_from_columns(TraceHeader(self.vocab_size, producer), columns)

@@ -50,3 +50,8 @@ def test_scatter_is_read_only_columns_of_the_trace():
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0
     assert trace.columns.step.flags.writeable
+
+
+def test_an_empty_trace_is_refused():
+    with pytest.raises(ValueError, match="^cannot analyze an empty trace$"):
+        analyze_trace(TraceFile(TraceHeader(8)), 0.9)

@@ -337,6 +337,40 @@ class TestExitCodes:
         assert main(["run", "--spec", str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"repetitions": 0}', "field 'repetitions': must be >= 1"),
+        ('{"theta": []}', "field 'theta': grid must be non-empty"),
+        ("[1]", "spec file {spec}: top level must be a JSON object"),
+    ], ids=["repetitions", "empty_grid", "top_level"])
+    def test_a_refused_spec_is_2_with_its_message(self, text, message, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert main(["run", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(spec=spec)}\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "replay"])
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file, missing header"),
+        ("specverify-trace vX vocab=8 producer=\n", "bad version field 'vX'"),
+        ("specverify-trace v1 vocab8 producer=\n", "header missing vocab= field"),
+        ("specverify-trace v1 vocab=x producer=\n", "bad vocab field"),
+        ("specverify-trace v1 vocab=1 producer=\n", "vocab must be >= 2, got 1"),
+        ("specverify-trace v1 vocab=8 producer\n", "header missing producer= field"),
+    ], ids=["empty", "version", "no_vocab", "vocab", "vocab_1", "no_producer"])
+    def test_a_bad_trace_header_is_2_with_its_message(self, command, text, message, tmp_path, capsys):
+        path = tmp_path / "t.trace"
+        path.write_text(text)
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_an_empty_trace_is_2_for_analyze(self, tmp_path, capsys):
+        path = tmp_path / "t.trace"
+        path.write_text("specverify-trace v1 vocab=8 producer=\n")
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: cannot analyze an empty trace\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_spec_field_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"thetas": [0.9]}))

@@ -51,6 +51,13 @@ class TestTopTwo:
         with pytest.raises(ValueError):
             top_two([1.0])
 
+    def test_a_block_is_refused(self):
+        """Only softmax takes a 2-D block; nothing takes more dimensions."""
+        with pytest.raises(ValueError, match=re.escape("logit vector must be 1-D, got shape (2, 3)")):
+            top_two(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=re.escape("logit vector must be 1-D, got shape (1, 1, 2)")):
+            softmax(np.zeros((1, 1, 2)))
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             top_two([1.0, float("nan")])
@@ -263,6 +270,10 @@ class TestSoftmax:
         values = np.random.default_rng(321).uniform(-8.0, 8.0, 32)
         p = softmax(values, 0.7)
         assert np.abs(p - np.asarray(SOFTMAX_EXPECTED_T07)).max() <= 1e-12
+
+    def test_empty_vector_is_refused(self):
+        with pytest.raises(ValueError, match="^softmax of an empty vector is undefined$"):
+            softmax([])
 
     def test_temperature_validated(self):
         with pytest.raises(ValueError):

@@ -199,6 +199,13 @@ class TestValidation:
             ("top_k", ((3, 2.5), (1, None)), None),
             ("top_k", ((3, 10**400), (1, 1.25)), None),
             ("top_k", ((3, 2.5), (1, 1 + 0j)), None),
+            # values that are sequences, which np.array would take for a dimension
+            ("step", (1,), None),
+            ("context_hash", (5,), None),
+            ("temperature", (1.0,), None),
+            ("chosen_draft", [2], None),
+            ("top_k", (((3,), 2.5), ((1,), 1.25)), None),
+            ("top_k", ((3, (2.5,)), (1, (1.25,))), None),
         ],
     )
     def test_each_bad_field_handed_in_gets_its_message(self, field, value, message):
@@ -216,8 +223,13 @@ class TestValidation:
             TraceFile(TraceHeader(64), [rec])
         assert str(new.value) == message
 
-    @pytest.mark.parametrize("top_k", [((1,), (2,)), ((3, 2.5, 0), (1, 1.25)), 5],
-                             ids=["one-tuples", "a-3-tuple", "an-int"])
+    def test_steps_that_are_all_one_tuples_name_the_first(self):
+        """Equal-length sequences in every record are values, not a second dimension."""
+        with pytest.raises(TraceFormatError, match=re.escape("record 1: step (1,) is not an integer")):
+            TraceFile(TraceHeader(64), [make_record(step=(1,)), make_record(step=(2,))])
+
+    @pytest.mark.parametrize("top_k", [((1,), (2,)), ((3, 2.5, 0), (1, 1.25)), 5, (1, 2)],
+                             ids=["one-tuples", "a-3-tuple", "an-int", "ints"])
     def test_top_k_that_is_not_pairs_names_its_record(self, top_k):
         records = [make_record(), make_record(top_k=top_k)]
         message = f"record 2: top-k {top_k!r} is not a list of (token, logit) pairs"
@@ -293,6 +305,20 @@ class TestValidation:
         with pytest.raises(TraceFormatError, match="version 9"):
             read_trace(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file, missing header"),
+        ("specverify-trace vX vocab=8 producer=\n", "bad version field 'vX'"),
+        ("specverify-trace v1 vocab8 producer=\n", "header missing vocab= field"),
+        ("specverify-trace v1 vocab=x producer=\n", "bad vocab field"),
+        ("specverify-trace v1 vocab=1 producer=\n", "vocab must be >= 2, got 1"),
+        ("specverify-trace v1 vocab=8 producer\n", "header missing producer= field"),
+    ], ids=["empty", "version", "no_vocab", "vocab", "vocab_1", "no_producer"])
+    def test_a_bad_header_gets_its_message(self, text, message, tmp_path):
+        path = tmp_path / "h.trace"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_trace(path)
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "nope.trace"
         path.write_text("something-else v1 vocab=64\n")
@@ -342,14 +368,14 @@ class TestValidation:
             read_trace(tmp_path / "does-not-exist.trace")
 
 
-def record(rec, step, logits, draft, ctx):
+def record(rec, logits, draft, ctx):
     """One record handed to a recorder as a cycle of one."""
-    rec(step, rec.lists([logits]), [draft], ctx.to_bytes(8, "little"))
+    rec(rec.lists([logits]), [draft], ctx.to_bytes(8, "little"))
 
 
 def hand_cycle(rec, vectors, start, buffer=None):
-    """Vectors handed to a recorder as one cycle of records start, start + 1,
-    ...: record i drafts i % 3 or None and has context hash 7 * i, as
+    """Vectors handed to a recorder that holds `start` records, as one cycle:
+    record i drafts i % 3 or None and has context hash 7 * i, as
     lexsort_outcome's records do. With a buffer, each vector is copied into
     it as the recorder reads it, so that the recorder sees one array mutated
     in place."""
@@ -363,14 +389,14 @@ def hand_cycle(rec, vectors, start, buffer=None):
                 yield buffer
 
     steps = range(start, start + len(vectors))
-    rec(start, rec.lists(given()), [i % 3 or None for i in steps],
+    rec(rec.lists(given()), [i % 3 or None for i in steps],
         b"".join((7 * i).to_bytes(8, "little") for i in steps))
 
 
 class TestRecorder:
     def test_records_sorted_topk(self):
         rec = TraceRecorder(vocab_size=8, temperature=1.0, top_k=4)
-        record(rec, 0, np.array([0.0, 5.0, 5.0, 1.0, -2.0, 3.0, 0.5, 0.25]), 2, hash_context([1, 2]))
+        record(rec, np.array([0.0, 5.0, 5.0, 1.0, -2.0, 3.0, 0.5, 0.25]), 2, hash_context([1, 2]))
         records = rec.to_trace().records
         (entries,) = [r.top_k for r in records]
         assert [t for t, _ in entries] == [1, 2, 5, 3]  # tie 5.0/5.0 broken by id
@@ -379,73 +405,60 @@ class TestRecorder:
 
     def test_topk_capped_at_vocab(self):
         rec = TraceRecorder(vocab_size=3, temperature=1.0, top_k=10)
-        record(rec, 0, np.array([1.0, 2.0, 3.0]), None, hash_context([0]))
+        record(rec, np.array([1.0, 2.0, 3.0]), None, hash_context([0]))
         assert len(rec.to_trace().records[0].top_k) == 3
 
     @pytest.mark.parametrize("size", [3, 63, 65])
     def test_wrong_length_vector_names_the_record(self, size):
         rec = TraceRecorder(vocab_size=64, temperature=1.0)
-        record(rec, 0, np.zeros(64), 1, 0)
+        record(rec, np.zeros(64), 1, 0)
         with pytest.raises(TraceFormatError, match=re.escape(f"record 2: logit vector of shape ({size},)")):
             rec.lists([np.zeros(size)])
         with pytest.raises(TraceFormatError, match=re.escape(f"record 3: logit vector of shape ({size},)")):
             rec.lists([np.ones(64), np.zeros(size)])
         assert len(rec.to_trace().records) == 1  # no vector of a refused call is recorded
 
-    @pytest.mark.parametrize(
-        "step, drafts, message",
-        [
-            (1, [-5], "record 2: drafted token -5 out of range"),
-            (1, [-1], "record 2: drafted token -1 out of range"),  # not an absent draft
-            (1, [1, 2**63], "record 3: drafted token 9223372036854775808 out of range"),
-            (-1, [1], "record 2: step must be non-negative"),
-            (2**63, [1], "record 2: step, tokens and draft must be below 2^63"),
-            (2**63 - 2, [1, 2, 3], "record 4: step, tokens and draft must be below 2^63"),
-        ],
-    )
-    def test_a_value_the_columns_cannot_hold_names_its_record(self, step, drafts, message):
-        """A step or draft that the 64-bit columns cannot hold, or that would
-        read as an absent draft, is refused when its cycle is handed over, in
+    def test_steps_are_record_numbers(self):
+        """The recorder numbers its records 0, 1, ... across its calls."""
+        rec = TraceRecorder(vocab_size=8, temperature=1.0)
+        hand_cycle(rec, [np.arange(8.0)] * 3, 0)
+        hand_cycle(rec, [np.ones(8)] * 2, 3)
+        assert rec.to_trace().columns.step.tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("drafts, message", [
+        ([-5], "record 2: drafted token -5 out of range"),
+        ([-1], "record 2: drafted token -1 out of range"),  # not an absent draft
+        ([1, 2**63], "record 3: drafted token 9223372036854775808 out of range"),
+        ([1, 2, 8], "record 4: drafted token 8 out of range"),
+        ([np.int64(1), 2.0], "record 3: draft 2.0 is not an integer"),
+        ([np.int64(1), "2"], "record 3: draft '2' is not an integer"),
+        ([np.int64(1), (2,)], "record 3: draft (2,) is not an integer"),
+        ([(2,), (3,)], "record 2: draft (2,) is not an integer"),  # not a 2-D column
+    ])
+    def test_a_draft_the_trace_cannot_hold_is_named_by_to_trace(self, drafts, message):
+        """A draft is kept as given, and to_trace names the first bad one in
         the words of the trace check."""
         rec = TraceRecorder(vocab_size=8, temperature=1.0)
-        record(rec, 0, np.zeros(8), 1, 0)
-        ids = rec.lists([np.arange(8.0)] * len(drafts))
+        record(rec, np.zeros(8), 1, 0)
+        rec(rec.lists([np.arange(8.0)] * len(drafts)), drafts, bytes(8 * len(drafts)))
         with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
-            rec(step, ids, drafts, bytes(8 * len(drafts)))
-        assert len(rec.to_trace().records) == 1  # the refused cycle is not recorded
-
-    def test_a_draft_past_the_vocabulary_is_named_by_to_trace(self):
-        rec = TraceRecorder(vocab_size=8, temperature=1.0)
-        record(rec, 0, np.zeros(8), 1, 0)
-        rec(1, rec.lists([np.arange(8.0)] * 3), [1, 2, 8], bytes(24))
-        with pytest.raises(TraceFormatError, match="^record 4: drafted token 8 out of range$"):
             rec.to_trace()
 
-    @pytest.mark.parametrize("step, message", [
-        (2.5, "record 2: step 2.5 is not an integer"),
-        ("1", "record 2: step '1' is not an integer"),
-        (None, "record 2: step None is not an integer"),
-    ])
-    def test_a_position_that_is_not_an_integer_is_refused(self, step, message):
-        rec = TraceRecorder(vocab_size=8, temperature=1.0)
-        record(rec, 0, np.zeros(8), 1, 0)
-        ids = rec.lists([np.arange(8.0), np.ones(8)])
-        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
-            rec(step, ids, [1, None], bytes(16))
-        assert len(rec.to_trace().records) == 1
+    def test_the_first_bad_record_wins_over_a_later_bad_draft(self):
+        rec = TraceRecorder(vocab_size=3, temperature=0.5, top_k=3)
+        rec(rec.lists([np.array([np.nan, 1.0, 0.0]), np.arange(3.0)]), [None, "2"], bytes(16))
+        with pytest.raises(TraceFormatError, match=r"^record 1: non-finite logit for token 0$"):
+            rec.to_trace()
 
-    @pytest.mark.parametrize("draft, message", [
-        (2.0, "record 3: draft 2.0 is not an integer"),
-        ("2", "record 3: draft '2' is not an integer"),
-        ((2,), "record 3: draft (2,) is not an integer"),
-    ])
-    def test_a_draft_that_is_not_an_integer_or_none_is_refused(self, draft, message):
-        rec = TraceRecorder(vocab_size=8, temperature=1.0)
-        record(rec, 0, np.zeros(8), 1, 0)
-        ids = rec.lists([np.arange(8.0), np.ones(8)])
-        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
-            rec(1, ids, [np.int64(1), draft], bytes(16))
-        assert len(rec.to_trace().records) == 1
+    def test_a_refused_lists_call_adds_no_list(self):
+        """A wrong-length vector refuses the whole call, and the vectors read
+        before it get no list that a record could name."""
+        rec = TraceRecorder(vocab_size=64, temperature=1.0)
+        with pytest.raises(TraceFormatError, match=re.escape("record 2: logit vector of shape (3,)")):
+            rec.lists([np.ones(64), np.zeros(3)])
+        assert rec.to_trace().columns.offsets.size - 1 == 0
+        with pytest.raises(TraceFormatError, match="^record 1: top-k list 0 is not one this recorder returned$"):
+            rec([0], [None], bytes(8))
 
     @pytest.mark.parametrize("drafts, digests, message", [
         ([1, None], bytes(15), "record 2: 2 drafts and 15 context hash bytes for 2 records"),
@@ -455,10 +468,10 @@ class TestRecorder:
     def test_a_digest_block_of_the_wrong_length_is_refused(self, drafts, digests, message):
         """Each record takes 8 bytes of the block, and one draft."""
         rec = TraceRecorder(vocab_size=8, temperature=1.0)
-        record(rec, 0, np.zeros(8), 1, 0)
+        record(rec, np.zeros(8), 1, 0)
         ids = rec.lists([np.arange(8.0), np.ones(8)])
         with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
-            rec(1, ids, drafts, digests)
+            rec(ids, drafts, digests)
         assert len(rec.to_trace().records) == 1
 
     @pytest.mark.parametrize("bad, message", [
@@ -469,10 +482,10 @@ class TestRecorder:
     ])
     def test_a_list_id_the_recorder_never_returned_is_refused(self, bad, message):
         rec = TraceRecorder(vocab_size=8, temperature=1.0)
-        record(rec, 0, np.zeros(8), 1, 0)
+        record(rec, np.zeros(8), 1, 0)
         ids = rec.lists([np.arange(8.0), np.ones(8)])  # lists 1 and 2
         with pytest.raises(TraceFormatError, match=f"^record 3: {re.escape(message)}$"):
-            rec(1, [ids[0], bad], [1, None], bytes(16))
+            rec([ids[0], bad], [1, None], bytes(16))
         assert len(rec.to_trace().records) == 1
 
     def test_a_list_id_stays_valid_after_its_block_is_ranked(self):
@@ -483,9 +496,9 @@ class TestRecorder:
             rec = TraceRecorder(vocab_size=3, temperature=0.5, top_k=3)
         vectors = [[1.0, 2.0, 0.5], [3.0, 0.0, -1.0]]
         first = rec.lists([np.array(vectors[0])])  # a block of one: ranked at once
-        rec(0, first, [1], bytes(8))
-        rec(1, rec.lists([np.array(vectors[1])]), [2], bytes(8))
-        rec(2, first, [None], bytes(8))
+        rec(first, [1], bytes(8))
+        rec(rec.lists([np.array(vectors[1])]), [2], bytes(8))
+        rec(first, [None], bytes(8))
         assert [r.top_k for r in rec.to_trace().records] == [
             ranked(np.array(vectors[i]), 3) for i in (0, 1, 0)]
 
@@ -497,7 +510,7 @@ class TestRecorder:
         """Refused with the message TraceFile gives for the same record, or
         recorded as the column TraceFile holds."""
         rec = TraceRecorder(vocab_size=8, temperature=temperature, top_k=2)
-        record(rec, 0, np.arange(8.0), 1, 5)
+        record(rec, np.arange(8.0), 1, 5)
         given = [TraceRecord(0, ((7, 7.0), (6, 6.0)), temperature, 1, 5)]
         try:
             expected = TraceFile(TraceHeader(8), given).columns.temp
@@ -512,6 +525,7 @@ class TestRecorder:
         ({"top_k": "3"}, "top_k '3' is not an integer"),
         ({"vocab_size": 4.0}, "vocab 4.0 is not an integer"),
         ({"vocab_size": 1}, "vocab must be >= 2, got 1"),
+        ({"top_k": 1}, "top_k must be >= 2"),
     ])
     def test_a_bad_top_k_or_vocabulary_is_refused_when_built(self, kwargs, message):
         """Refused by name, vocab_size as a trace header refuses it, before a
@@ -521,7 +535,7 @@ class TestRecorder:
 
     def test_a_string_temperature_is_named(self):
         rec = TraceRecorder(vocab_size=8, temperature="1")
-        record(rec, 0, np.arange(8.0), None, 0)
+        record(rec, np.arange(8.0), None, 0)
         message = "record 1: temperature '1' is not a float64 number"
         with pytest.raises(TraceFormatError, match=re.escape(message)):
             rec.to_trace()
@@ -737,6 +751,11 @@ class TestReplay:
             iter_cycles(trace, 2)
         with pytest.raises(TraceFormatError, match="record 5: draft-less"):
             iter_cycles(trace, 1)
+
+    def test_k_below_1_is_refused(self):
+        trace = TraceFile(TraceHeader(64, ""), [make_record(draft=1), make_record(step=1)])
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            iter_cycles(trace, 0)
 
     def test_drafted_record_after_a_bonus_shaped_group_rejected(self):
         drafts = [1, 1, None, 1, 1, 1, 1, None]

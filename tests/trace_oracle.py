@@ -497,9 +497,10 @@ class CycleRecorder:
         self.vectors.update(zip(ids, (z.tobytes() for z in vectors)))
         return ids
 
-    def __call__(self, position: int, lists: list[int], drafts: list[int | None], digests: bytes) -> None:
-        self.recorder(position, lists, drafts, digests)
+    def __call__(self, lists: list[int], drafts: list[int | None], digests: bytes) -> None:
+        self.recorder(lists, drafts, digests)
+        start = len(self.records)  # the recorder numbers its records
         self.records += [
-            (position + i, self.vectors[j], draft, int.from_bytes(digests[8 * i : 8 * i + 8], "little"))
+            (start + i, self.vectors[j], draft, int.from_bytes(digests[8 * i : 8 * i + 8], "little"))
             for i, (j, draft) in enumerate(zip(lists, drafts))
         ]
