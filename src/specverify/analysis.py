@@ -72,7 +72,7 @@ def _histogram(values, bins: int) -> Histogram:
     return Histogram(tuple(edges.tolist()), tuple(counts.tolist()), v.size - finite.size)
 
 
-def analyze_trace(trace: TraceFile, theta: float, bins: int = DEFAULT_BINS) -> AnalysisReport:
+def analyze_trace(trace: TraceFile, theta: float) -> AnalysisReport:
     """Build the report for one trace at relaxation threshold theta."""
     check_theta(theta)
     columns = trace.columns
@@ -99,9 +99,9 @@ def analyze_trace(trace: TraceFile, theta: float, bins: int = DEFAULT_BINS) -> A
         record_count=n,
         ratio_defined_count=defined.size,
         relaxation_fraction=int(np.count_nonzero(ratios > theta)) / n,
-        top1_hist=_histogram(z1, bins),
-        ratio_hist=_histogram(defined, bins) if defined.size else Histogram((), ()),
-        prob_ratio_hist=_histogram(prob_ratios, bins),
+        top1_hist=_histogram(z1, DEFAULT_BINS),
+        ratio_hist=_histogram(defined, DEFAULT_BINS) if defined.size else Histogram((), ()),
+        prob_ratio_hist=_histogram(prob_ratios, DEFAULT_BINS),
         scatter=scatter,
     )
 

@@ -155,7 +155,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     k, cost = spec.k[0], CostModel(c_draft=spec.cost_ratio)
     rows = []
     for theta in spec.theta:
-        metrics = replay_verify(trace, VerificationPolicy.from_name(spec.policy, theta), k, cost)
+        metrics = replay_verify(trace, VerificationPolicy(spec.policy, theta), k, cost)
         rows.append(replay_row(spec, theta, k, metrics))
     taus = ",".join(f"{row['tau']:.4f}" for row in rows)  # in grid order
     summary = f"tau={taus} over {metrics.cycles} cycles"

@@ -49,7 +49,8 @@ import numpy as np
 
 from . import verify
 from .models import (
-    MAX_TREE_LEAVES, ScoringModel, check_tree_size, check_types, draft_walk, pack_tokens, window_reader,
+    MAX_TREE_LEAVES, ScoringModel, check_count, check_tokens, check_tree_size, check_types, draft_walk,
+    pack_tokens, window_reader,
 )
 from .models import draft_chain  # noqa: F401  (perfbench traces engine.draft_chain)
 from .verify import CycleResult, Decision, VerificationPolicy, decide_position
@@ -161,17 +162,14 @@ def check_prompt(prompt: Sequence[int], vocab_size: int) -> None:
     """Prompts are checked once, whole: scoring sees only the last tokens."""
     if len(prompt) == 0:
         raise ValueError("prompt must be non-empty")
-    for tok in prompt:
-        if not isinstance(tok, (int, np.integer)):
-            raise ValueError(f"prompt token {tok!r} is not an integer")
-        if not 0 <= tok < vocab_size:
-            raise ValueError(f"prompt token {tok} out of vocabulary range")
+    check_tokens(prompt, vocab_size, "prompt")
 
 
 def greedy_decode(target: ScoringModel, prompt: Sequence[int], n_tokens: int) -> list[int]:
     """Plain autoregressive argmax decode of the target alone."""
     reader = window_reader(target)  # a score-only adapter checks its vocab_size here
     check_prompt(prompt, reader.vocab_size)
+    check_count("n_tokens", n_tokens)
     if n_tokens < 1:
         raise ValueError("n_tokens must be >= 1")
     w, out = reader.fold(prompt), []

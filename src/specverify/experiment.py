@@ -103,7 +103,7 @@ class ExperimentSpec:
     def decode_config(self, theta: float, k: int, temperature: float, seed: int) -> DecodeConfig:
         """The decode config of one grid point."""
         return DecodeConfig(
-            policy=VerificationPolicy.from_name(self.policy, theta),
+            policy=VerificationPolicy(self.policy, theta),
             k=k,
             max_tokens=self.max_tokens,
             temperature=temperature,

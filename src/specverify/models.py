@@ -95,7 +95,9 @@ def check_types(config) -> None:
             raise ValueError(f"field '{name}': nested too deeply") from None
 
 
-_field_types = functools.cache(get_type_hints)  # of a config class, resolved once
+# a config class's annotations, resolved once, in the module its dataclass __init__
+# was made in: a re-import of the package leaves an old class's module as it was
+_field_types = functools.cache(lambda cls: get_type_hints(cls, cls.__init__.__globals__))
 
 
 def _typed(hint, value, name: str):
@@ -178,6 +180,12 @@ def check_noise_range(target: SyntheticTargetConfig, draft: PerturbedDraftConfig
         )
 
 
+def check_count(name: str, value) -> None:
+    """Refuse a count that is not an int or a numpy integer (a bool is neither)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+
+
 def pack_tokens(tokens: Sequence[int]) -> bytes:
     """Integers packed as little-endian int64: the one byte encoding behind
     window seeds and trace context hashes."""
@@ -214,17 +222,14 @@ def window_rng(seed: int, window: Sequence[int], salt: int) -> np.random.Generat
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
-def _check_context(context: Sequence[int], vocab_size: int) -> None:
-    for tok in context:
-        if not isinstance(tok, (int, np.integer)):  # as engine.check_prompt refuses it
-            raise ValueError(f"context token {tok!r} is not an integer")
+def check_tokens(tokens: Sequence[int], vocab_size: int, what: str) -> None:
+    """Refuse a token that is not an int or a numpy integer (a bool is neither),
+    or that is outside [0, vocab_size); `what` names the tokens in the message."""
+    for tok in tokens:
+        if type(tok) is not int and (isinstance(tok, bool) or not isinstance(tok, (int, np.integer))):
+            raise ValueError(f"{what} token {tok!r} is not an integer")
         if not 0 <= tok < vocab_size:
-            raise ValueError(f"context token {tok} out of vocabulary range [0, {vocab_size})")
-
-
-def softmax_cdf(z: np.ndarray, temperature: float) -> np.ndarray:
-    """The read-only CDF Generator.choice(p.size, p=p) draws from, p = softmax(z, temperature)."""
-    return _cdf(softmax(z, temperature))
+            raise ValueError(f"{what} token {tok} out of vocabulary range [0, {vocab_size})")
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -260,7 +265,7 @@ class _WindowIds:
 
     def window_id(self, context: Sequence[int]) -> int:
         """The id of the context's window, after checking the whole context."""
-        _check_context(context, self.vocab_size)
+        check_tokens(context, self.vocab_size, "context")
         return self.fold(context)
 
     def window(self, w: int) -> tuple[int, ...]:
@@ -308,14 +313,6 @@ class _MemoisedModel(_WindowIds):
     def score(self, context: Sequence[int]) -> np.ndarray:
         return self.logits_at(self.window_id(context))
 
-    def top_two(self, context: Sequence[int]) -> TopTwo:
-        """top_two(self.score(context)), derived once per memoised window."""
-        return self.top_two_at(self.window_id(context))
-
-    def sample_cdf(self, context: Sequence[int], temperature: float) -> np.ndarray:
-        """softmax_cdf(self.score(context), temperature); a new temperature replaces it."""
-        return self.cdf_at(self.window_id(context), temperature)
-
 
 class _ScoreOnly(_WindowIds):
     """Id-keyed reads of a model that only has `score`, uncached: each read scores
@@ -351,7 +348,7 @@ class _ScoreOnly(_WindowIds):
         return top_two(self.logits_at(w))
 
     def cdf_at(self, w: int, temperature: float) -> np.ndarray:
-        return softmax_cdf(self.logits_at(w), temperature)
+        return _cdf(softmax(self.logits_at(w), temperature))
 
 
 def window_reader(model: ScoringModel) -> _WindowIds:
@@ -458,6 +455,7 @@ def draft_walk(
     advances by k draws however far the walk is read. After that each step
     reads its window by id, so a walk costs time linear in the tokens read.
     """
+    check_count("k", k)
     if k < 1:
         raise ValueError(f"draft length k must be >= 1, got {k}")
     if mode not in ("greedy", "sample"):

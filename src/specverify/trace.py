@@ -45,6 +45,7 @@ import numpy as np
 
 from .engine import CostModel, DecodeMetrics, context_hasher, metrics_from_counts
 from .logits import logit_ratios
+from .models import check_count
 from .verify import Decision, VerificationPolicy
 from .verify import verify_top_two_chain  # noqa: F401  (perfbench traces trace.verify_top_two_chain)
 
@@ -87,6 +88,8 @@ class TraceHeader:
             raise TraceFormatError(f"vocab {self.vocab_size!r} is not an integer")
         if self.vocab_size < 2:  # as read_trace refuses it; a file always carries FORMAT_VERSION
             raise TraceFormatError(f"vocab must be >= 2, got {self.vocab_size}")
+        if not isinstance(self.producer, str):  # else it is written as its repr, read as a str
+            raise TraceFormatError(f"producer {self.producer!r} is not a str")
 
 
 @dataclass(frozen=True)
@@ -554,8 +557,7 @@ class TraceRecorder:
 
     def __init__(self, vocab_size: int, temperature: float, top_k: int = DEFAULT_TOP_K):
         TraceHeader(vocab_size)  # refuses a vocab_size that a trace cannot hold
-        if not isinstance(top_k, (int, np.integer)):
-            raise ValueError(f"top_k {top_k!r} is not an integer")
+        check_count("top_k", top_k)
         if top_k < 2:
             raise ValueError("top_k must be >= 2")
         self.vocab_size = vocab_size
@@ -641,6 +643,7 @@ def iter_cycles(trace: TraceFile, k: int) -> tuple[np.ndarray, np.ndarray]:
     either a draft-less record splits a group, or complete groups are followed
     by a draft-less record in one place and by a drafted one in another (k
     divides the recorded K)."""
+    check_count("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     drafted = trace.columns.draft >= 0

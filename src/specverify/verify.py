@@ -49,6 +49,8 @@ class VerificationPolicy:
         if self.kind not in ("strict", "margin"):
             raise ValueError(f"field 'policy': unknown value {self.kind!r}")
         check_theta(self.theta)
+        if self.kind == "strict":  # a strict rule reads no theta, so every strict policy is one
+            object.__setattr__(self, "theta", 1.0)
 
     @classmethod
     def strict(cls) -> "VerificationPolicy":
@@ -57,12 +59,6 @@ class VerificationPolicy:
     @classmethod
     def margin_aware(cls, theta: float = DEFAULT_THETA) -> "VerificationPolicy":
         return cls(kind="margin", theta=theta)
-
-    @classmethod
-    def from_name(cls, kind: str, theta: float) -> "VerificationPolicy":
-        """Policy by kind name; "strict" checks theta, then drops it."""
-        policy = cls(kind, theta)  # the one check of kind and theta
-        return cls.strict() if kind == "strict" else policy
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@ checks and normalises its fields by their annotations, so a library call
 refuses, naming the field, what a spec file refuses."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specverify
 from specverify.engine import CostModel, DecodeConfig
 from specverify.experiment import ExperimentSpec, spec_from_dict
 from specverify.models import PerturbedDraftConfig, SyntheticTargetConfig
@@ -151,3 +155,27 @@ def test_each_constructor_names_its_first_badly_typed_field(case):
     cls, kwargs, first = case
     with pytest.raises(ValueError, match=rf"^field '{first}': "):
         cls(**kwargs)
+
+
+REIMPORT = """
+import sys
+import specverify.experiment as old
+for name in [name for name in sys.modules if name.split(".")[0] == "specverify"]:
+    del sys.modules[name]
+import specverify.experiment
+assert specverify.experiment is not old
+print(old.spec_from_dict({"target": {"seed": 3}}).target.seed, old.ExperimentSpec().target.seed)
+"""
+
+
+def test_a_config_of_a_module_imported_before_a_reimport_is_accepted():
+    """A config class resolves its annotations where it was defined, so the
+    modules of an earlier import still check their own configs after the
+    package is imported again, as a fresh-import timing does. It runs in a
+    process of its own, so that the test run keeps its modules."""
+    src = str(Path(specverify.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", REIMPORT], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "3 42\n"

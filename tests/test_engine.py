@@ -50,8 +50,9 @@ class TestDecodeBasics:
         cfg = DecodeConfig(policy=STRICT)
         with pytest.raises(ValueError):
             decode(target, draft, cfg, [])
-        with pytest.raises(ValueError):
-            decode(target, draft, cfg, [99])
+        for tok in (99, -1):
+            with pytest.raises(ValueError, match=rf"^prompt token {tok} out of vocabulary range \[0, 64\)$"):
+                decode(target, draft, cfg, [1, tok])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -380,7 +381,7 @@ class TestTreeWalk:
         kind = data.draw(st.sampled_from(["strict", "margin"]), label="policy")
         theta = data.draw(st.sampled_from([0.5, 0.9, 1.0]), label="theta")
         config = DecodeConfig(
-            VerificationPolicy.from_name(kind, theta), k=k, mode="tree", tree_top_k=width,
+            VerificationPolicy(kind, theta), k=k, mode="tree", tree_top_k=width,
             max_tokens=data.draw(st.integers(1, 30), label="max_tokens"),
             stop_token=data.draw(st.none() | st.integers(0, vocab - 1), label="stop_token"))
         prompt = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=order + 2))
@@ -482,7 +483,7 @@ def test_a_string_vocabulary_is_refused_before_the_prompt_is_checked(run):
             decode(target, score_only("Draft", np.arange(8.0)), DecodeConfig(policy=MARGIN_09, k=3), [1, 2])
 
 
-@pytest.mark.parametrize("token", [1.5, 2.0, "1", None])
+@pytest.mark.parametrize("token", [1.5, 2.0, "1", None, True, False])
 @pytest.mark.parametrize("run", ["greedy_decode", "decode"])
 def test_a_prompt_token_that_is_not_an_integer_is_named(run, token):
     target, draft = make_pair(vocab_size=8)
@@ -575,6 +576,12 @@ class TestGreedyDecode:
         with pytest.raises(ValueError):
             greedy_decode(target, [1], 0)
 
+    @pytest.mark.parametrize("n_tokens", [2.5, 2.0, "2", None, True])
+    def test_an_n_tokens_that_is_not_an_integer_is_named(self, target, n_tokens):
+        with pytest.raises(ValueError, match=rf"^n_tokens {re.escape(repr(n_tokens))} is not an integer$"):
+            greedy_decode(target, [1, 2], n_tokens)
+        assert greedy_decode(target, [1, 2], np.int64(3)) == greedy_decode(target, [1, 2], 3)
+
 
 class TestCycleMemo:
     """decode decides each distinct greedy-chain or tree cycle once, by its
@@ -604,7 +611,7 @@ class TestCycleMemo:
         theta = data.draw(st.sampled_from([0.5, 0.9, 1.0]), label="theta")
         stop = data.draw(st.none() | st.integers(0, vocab - 1), label="stop_token")
         config = DecodeConfig(
-            VerificationPolicy.from_name(kind, theta), k=k, seed=seed,
+            VerificationPolicy(kind, theta), k=k, seed=seed,
             max_tokens=data.draw(st.integers(1, 40 if mode == "tree" else 80)),
             temperature=data.draw(st.sampled_from([0.3, 1.0])), stop_token=stop, **fields)
         prompt = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=order + 2))

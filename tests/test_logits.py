@@ -183,8 +183,8 @@ ONE_RECORD = TraceFile(TraceHeader(4, ""), [TraceRecord(0, ((0, 2.0), (1, 1.0)),
         check_theta,
         lambda theta: VerificationPolicy(kind="margin", theta=theta),
         VerificationPolicy.margin_aware,
-        lambda theta: VerificationPolicy.from_name("strict", theta),
-        lambda theta: VerificationPolicy.from_name("margin", theta),
+        lambda theta: VerificationPolicy("strict", theta),
+        lambda theta: VerificationPolicy("margin", theta),
         lambda theta: adaptive_margin_check(top_two([10.0, 9.5]), theta),
         lambda theta: analyze_trace(ONE_RECORD, theta),
     ],
@@ -197,10 +197,12 @@ def test_theta_outside_its_domain_is_refused_by_name(refuse, theta, message):
         refuse(theta)
 
 
-def test_from_name_checks_the_kind_before_theta():
+def test_a_policy_checks_the_kind_before_theta_and_strict_drops_theta():
     with pytest.raises(ValueError, match=r"^field 'policy': unknown value 'bogus'$"):
-        VerificationPolicy.from_name("bogus", 1.5)
-    assert VerificationPolicy.from_name("strict", 0.5) == VerificationPolicy.strict()
+        VerificationPolicy("bogus", 1.5)
+    assert VerificationPolicy("strict", 0.5) == VerificationPolicy.strict()
+    assert VerificationPolicy("strict", 0.5).theta == 1.0
+    assert VerificationPolicy("margin", 0.5).theta == 0.5
 
 
 @pytest.mark.parametrize("theta", [5e-324, 0.9, 1, 1.0, np.float64(0.5), np.float32(0.25)])

@@ -22,7 +22,6 @@ from specverify.models import (
     draft_chain,
     draft_walk,
     pack_tokens,
-    softmax_cdf,
     window_reader,
     window_rng,
 )
@@ -168,6 +167,12 @@ class TestDraftChain:
         with pytest.raises(ValueError):
             draft_chain(draft, [1, 2], 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True])
+    def test_a_k_that_is_not_an_integer_is_named(self, draft, k):
+        with pytest.raises(ValueError, match=rf"^k {re.escape(repr(k))} is not an integer$"):
+            draft_walk(draft, [1, 2], k)
+        assert draft_chain(draft, [1, 2], np.int64(3)) == draft_chain(draft, [1, 2], 3)
+
     def test_a_walk_checks_and_draws_when_created(self, draft):
         """A walk read one token in leaves its generator where a whole chain does."""
         read_one, whole = np.random.default_rng(3), np.random.default_rng(3)
@@ -306,6 +311,16 @@ def fresh_pair(target_cfg, draft_cfg):
     return FreshModel(lambda: SyntheticTargetModel(target_cfg)), FreshModel(build_draft)
 
 
+def top_two_of(model, context):
+    """A model's top-2 at the window of a context, read by id."""
+    return model.top_two_at(model.window_id(context))
+
+
+def cdf_of(model, context, temperature):
+    """A model's sampling CDF at the window of a context, read by id."""
+    return model.cdf_at(model.window_id(context), temperature)
+
+
 def score_derived_cdf(z, temperature):
     """The sampling CDF as draft_chain derived it from a score on every draw."""
     cdf = softmax(z, temperature).cumsum()
@@ -361,7 +376,7 @@ class TestLogitMemo:
     def test_statistics_match_the_score_derived_ones(
         self, monkeypatch, memo_windows, target_cfg, draft_cfg
     ):
-        """top_two and sample_cdf equal what a score-only model derives from its
+        """top_two_at and cdf_at equal what a score-only model derives from its
         score, for repeated windows behind new histories and a changing temperature."""
         if memo_windows is not None:
             # an entry counts its logits and its CDF: 2V floats
@@ -379,8 +394,8 @@ class TestLogitMemo:
             for c in (ctx, other, ctx):
                 temperature = next(temperatures)
                 for model, fresh in ((target, fresh_target), (draft, fresh_draft)):
-                    assert model.top_two(c) == top_two(fresh.score(c))
-                    cdf = model.sample_cdf(c, temperature)
+                    assert top_two_of(model, c) == top_two(fresh.score(c))
+                    cdf = cdf_of(model, c, temperature)
                     assert not cdf.flags.writeable
                     assert np.array_equal(cdf, score_derived_cdf(fresh.score(c), temperature))
         if memo_windows is not None:
@@ -388,17 +403,17 @@ class TestLogitMemo:
 
     def test_statistics_are_derived_once_per_window_and_temperature(self):
         target, draft = make_pair()
-        assert target.top_two([3, 4]) is target.top_two([9, 3, 4])
-        cdf = draft.sample_cdf([3, 4], 0.7)
-        assert draft.sample_cdf([1, 3, 4], 0.7) is cdf
-        assert draft.sample_cdf([3, 4], 1.3) is not cdf
-        assert np.array_equal(draft.sample_cdf([3, 4], 0.7), cdf)
+        assert top_two_of(target, [3, 4]) is top_two_of(target, [9, 3, 4])
+        cdf = cdf_of(draft, [3, 4], 0.7)
+        assert cdf_of(draft, [1, 3, 4], 0.7) is cdf
+        assert cdf_of(draft, [3, 4], 1.3) is not cdf
+        assert np.array_equal(cdf_of(draft, [3, 4], 0.7), cdf)
 
     @pytest.mark.parametrize("noise_scale", [0.5, 0.0])
     def test_memoised_window_still_checks_the_whole_context(self, noise_scale):
         target, draft = make_pair(noise_scale=noise_scale)
         for model in (target, draft):
-            reads = (model.score, model.top_two, lambda c: model.sample_cdf(c, 0.7))
+            reads = (model.score, lambda c: top_two_of(model, c), lambda c: cdf_of(model, c, 0.7))
             for read in reads:
                 read([1, 2])
             assert 2 * 65 + 3 in model._memo  # the id of [1, 2]: base-65 digits 1+1, 2+1
@@ -409,11 +424,12 @@ class TestLogitMemo:
     @pytest.mark.parametrize("noise_scale", [0.5, 0.0])
     def test_returned_logits_are_read_only(self, noise_scale):
         target, draft = make_pair(noise_scale=noise_scale)
+        score_only = window_reader(FreshModel(lambda: make_pair()[0]))
         for model in (target, draft):
             for _ in range(2):  # the computed arrays, then the memoised ones
-                z, cdf = model.score([4, 5]), model.sample_cdf([4, 5], 0.7)
-                # softmax_cdf is also the CDF of a model that only scores
-                for array in (z, cdf, softmax_cdf(z, 0.7)):
+                z, cdf = model.score([4, 5]), cdf_of(model, [4, 5], 0.7)
+                # so is the CDF of a model that only scores
+                for array in (z, cdf, cdf_of(score_only, [4, 5], 0.7)):
                     with pytest.raises(ValueError, match="read-only"):
                         array[0] = 0.0
         # the refused writes left the memoised vector as a fresh model scores it
@@ -453,8 +469,8 @@ class TestWindowIds:
     )
     @settings(max_examples=150, deadline=None)
     def test_ids_read_what_contexts_read(self, vocab, order, seeds, noise_scale, temperature, data):
-        """Reading score, top_two and sample_cdf by a carried id equals the public
-        context path, for contexts shorter than, as long as and longer than order,
+        """Reading logits, top-2 and CDF by a carried id equals reading them at
+        window_id(context), for contexts shorter than, as long as and longer than order,
         for the memoised models and for a model that only scores."""
         target_cfg = SyntheticTargetConfig(seed=seeds[0], vocab_size=vocab, order=order)
         draft_cfg = PerturbedDraftConfig(noise_seed=seeds[1], noise_scale=noise_scale)
@@ -474,9 +490,9 @@ class TestWindowIds:
                 assert reader.window(w) == window
                 assert seen.setdefault(w, window) == window  # distinct windows, distinct ids
                 assert np.array_equal(reader.logits_at(w), fresh.score(ctx))
-                assert reader.top_two_at(w) == fresh.top_two(ctx)
+                assert reader.top_two_at(w) == top_two_of(fresh, ctx)
                 cdf = reader.cdf_at(w, temperature)
-                assert np.array_equal(cdf, fresh.sample_cdf(ctx, temperature))
+                assert np.array_equal(cdf, cdf_of(fresh, ctx, temperature))
 
     def test_a_float_token_in_the_window_raises(self, target):
         target.score([1, 2])
@@ -486,11 +502,11 @@ class TestWindowIds:
 
     @pytest.mark.parametrize("read", [
         lambda model, ctx: model.score(ctx),
-        lambda model, ctx: model.top_two(ctx),
-        lambda model, ctx: model.sample_cdf(ctx, 1.0),
+        top_two_of,
+        lambda model, ctx: cdf_of(model, ctx, 1.0),
         lambda model, ctx: next(draft_walk(model, ctx, 3)),
-    ], ids=["score", "top_two", "sample_cdf", "draft_walk"])
-    @pytest.mark.parametrize("token", [1.5, "1", None, np.float64(2.0)])
+    ], ids=["score", "top_two_at", "cdf_at", "draft_walk"])
+    @pytest.mark.parametrize("token", [1.5, "1", None, np.float64(2.0), True, False])
     def test_a_context_token_that_is_not_an_integer_is_named(self, read, token):
         target, draft = make_pair(vocab_size=8)
         for model in (target, draft):
@@ -528,7 +544,7 @@ class TestWindowIds:
         target = SyntheticTargetModel(target_cfg)
         draft = PerturbedDraftModel(target, draft_cfg)
         first = [
-            (model, model.score([0]), model.top_two([0]), model.sample_cdf([0], 0.7))
+            (model, model.score([0]), top_two_of(model, [0]), cdf_of(model, [0], 0.7))
             for model in (target, draft)
         ]
         assert rows(target, draft) == expected
@@ -536,8 +552,8 @@ class TestWindowIds:
             assert len(model._memo) == cap
             assert model.window_id([0]) not in model._memo
             assert np.array_equal(model.score([0]), z)
-            assert model.top_two([0]) == top
-            assert np.array_equal(model.sample_cdf([0], 0.7), cdf)
+            assert top_two_of(model, [0]) == top
+            assert np.array_equal(cdf_of(model, [0], 0.7), cdf)
             assert len(model._memo) == cap
 
 

@@ -119,6 +119,19 @@ class TestRoundTrip:
         write_trace(TraceFile(TraceHeader(64, producer)), path)
         assert read_trace(path).header.producer == producer
 
+    @pytest.mark.parametrize("producer", [None, 5, b"run"])
+    def test_a_producer_that_is_not_a_str_is_refused(self, producer, tmp_path):
+        rec = TraceRecorder(8, 1.0)
+        record(rec, np.arange(8.0), 1, 5)
+        message = rf"^producer {re.escape(repr(producer))} is not a str$"
+        with pytest.raises(TraceFormatError, match=message):
+            TraceHeader(8, producer)
+        with pytest.raises(TraceFormatError, match=message):
+            rec.to_trace(producer)
+        path = tmp_path / "p.trace"
+        write_trace(rec.to_trace(str(producer)), path)
+        assert read_trace(path).header == TraceHeader(8, str(producer))
+
     @pytest.mark.parametrize(
         "char",
         [chr(c) for c in [*range(0x21), *range(0x7F, 0xA1), 0x1680, 0x2028, 0x2029, 0x3000]],
@@ -523,6 +536,7 @@ class TestRecorder:
     @pytest.mark.parametrize("kwargs, message", [
         ({"top_k": 2.5}, "top_k 2.5 is not an integer"),
         ({"top_k": "3"}, "top_k '3' is not an integer"),
+        ({"top_k": True}, "top_k True is not an integer"),
         ({"vocab_size": 4.0}, "vocab 4.0 is not an integer"),
         ({"vocab_size": 1}, "vocab must be >= 2, got 1"),
         ({"top_k": 1}, "top_k must be >= 2"),
@@ -757,6 +771,15 @@ class TestReplay:
         with pytest.raises(ValueError, match="^k must be >= 1$"):
             iter_cycles(trace, 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True])
+    @pytest.mark.parametrize("run", [iter_cycles, lambda trace, k: replay_verify(trace, STRICT, k)],
+                             ids=["iter_cycles", "replay_verify"])
+    def test_a_k_that_is_not_an_integer_is_named(self, run, k):
+        trace = TraceFile(TraceHeader(64, ""), [make_record(draft=1), make_record(step=1)])
+        with pytest.raises(ValueError, match=rf"^k {re.escape(repr(k))} is not an integer$"):
+            run(trace, k)
+        assert replay_verify(trace, STRICT, np.int64(1)) == replay_verify(trace, STRICT, 1)
+
     def test_drafted_record_after_a_bonus_shaped_group_rejected(self):
         drafts = [1, 1, None, 1, 1, 1, 1, None]
         records = [make_record(step=i, draft=d) for i, d in enumerate(drafts)]
@@ -895,7 +918,7 @@ def test_array_replay_equals_the_per_cycle_tally(case, policy, theta, cost_ratio
     replay_cycles' per-cycle decisions does, or raises the same error."""
     records, k = case
     trace = TraceFile(TraceHeader(REPLAY_VOCAB, ""), records)
-    rule, cost = VerificationPolicy.from_name(policy, theta), CostModel(c_draft=cost_ratio)
+    rule, cost = VerificationPolicy(policy, theta), CostModel(c_draft=cost_ratio)
 
     def per_cycle():
         results = replay_cycles(trace, rule, k)
@@ -914,7 +937,7 @@ def test_array_replay_equals_the_per_cycle_tally(case, policy, theta, cost_ratio
 def test_replay_masks_are_decide_position_per_position(case, policy, theta):
     """Each drafted record replayed alone, as a cycle of k = 1, is counted exact,
     relaxed or rejected as decide_position decides its draft."""
-    rule = VerificationPolicy.from_name(policy, theta)
+    rule = VerificationPolicy(policy, theta)
     for record in case[0]:
         if record.chosen_draft is None:
             continue
